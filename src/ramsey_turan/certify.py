@@ -24,10 +24,7 @@ from .graphs import (
     independence_number,
     min_crossing_degree,
 )
-
-# real-valued thresholds are compared against integer measurements with this
-# guard band so that exact boundary cases do not flap on rounding
-THRESHOLD_GUARD = 1e-12
+from .report import bounds_36, bounds_37
 
 
 @dataclass(frozen=True)
@@ -108,8 +105,8 @@ def check_rt_witness(cg: ColoredGraph, p: int, q: int, m: int) -> Certificate:
 
 
 FORMULAS = {
-    "kkl36": lambda d: Fraction(5, 12) + d / 2 + 2 * d * d,
-    "c37": lambda d: Fraction(7, 16) + d / 2,
+    "kkl36": lambda d: bounds_36(d)[0],
+    "c37": lambda d: bounds_37(d)[0],
 }
 
 
@@ -300,34 +297,20 @@ def bipartition_indep_search(
     return BipartitionSearchResult(None, False, evaluations, bound)
 
 
-DEFAULT_EXPONENTS = (
-    Fraction(1, 4),
-    Fraction(1, 59),
-    Fraction(1, 60),
-    Fraction(1, 117),
-    Fraction(1, 118),
-    Fraction(1, 119),
-)
-
-
 @dataclass(frozen=True)
 class AuditConfig:
     """Slack scale for the eight-property partition audit.
 
-    Thresholds are gamma**e * n for the fixed exponent table; gamma must lie
-    strictly between 0 and 1.
+    Thresholds are c * gamma**(1/k) * n for the fixed table in
+    ``audit_partition``; gamma must lie strictly between 0 and 1.
     """
 
     gamma: Fraction
-    exponents: tuple[Fraction, ...] = DEFAULT_EXPONENTS
 
     def __post_init__(self):
         g = Fraction(self.gamma)
         if not 0 < g < 1:
             raise ValueError(f"gamma={self.gamma} outside (0, 1)")
-
-    def threshold(self, exponent: Fraction, n: int) -> float:
-        return float(self.gamma) ** float(exponent) * n
 
 
 def audit_partition(
@@ -361,20 +344,31 @@ def audit_partition(
     ]
     dcr = min_crossing_degree(g, part)
 
+    # row -> (c, k): the row passes iff measured <= c * gamma**(1/k) * n
     exps = {
-        "P1": Fraction(1, 4),
-        "P2": Fraction(1, 4),
-        "P3": Fraction(1, 59),
-        "P4": Fraction(1, 60),
-        "P5": Fraction(1, 117),
-        "P6": Fraction(1, 118),
-        "P7": Fraction(1, 119),
-        "P8_alpha": Fraction(1, 4),
-        "P8_deg": Fraction(1, 119),
+        "P1": (2, 4),
+        "P2": (1, 4),
+        "P3": (1, 59),
+        "P3_exists": (1, 59),
+        "P4": (1, 60),
+        "P5": (1, 117),
+        "P6": (1, 118),
+        "P7": (1, 119),
+        "P8_alpha": (1, 4),
+        "P8_deg1_far": (1, 119),
+        "P8_deg2_near": (1, 119),
     }
-    thr = {name: cfg.threshold(e, n) for name, e in exps.items()}
+    gamma = Fraction(cfg.gamma)
+    # displayed bounds only; verdicts are decided exactly in verdicts()
+    bound_for = {
+        name: c * (float(gamma) ** (1 / k) * n) for name, (c, k) in exps.items()
+    }
 
     target = Fraction(n, 6)
+    # P1, P5 and P6 do not depend on the role assignment
+    p1 = max(abs(Fraction(s) - target) for s in sizes)
+    p5 = max(inner_delta)
+    p6 = target - dcr
 
     def measures(x6: int, roles: tuple[int, ...]):
         """Deficiency-style measurements for one role assignment.
@@ -382,7 +376,6 @@ def audit_partition(
         roles[i] is the original part index playing cyclic role i (0-based);
         every measurement is compared upward against its threshold.
         """
-        p1 = max(abs(Fraction(s) - target) for s in sizes)
         p2 = alpha1[x6]
         x6_vertices = part.parts[x6]
         p3_all = 0
@@ -399,8 +392,6 @@ def audit_partition(
                 p4,
                 min(row[roles[i]] + row[roles[(i + 1) % 5]] for i in range(5)),
             )
-        p5 = max(inner_delta)
-        p6 = target - dcr
         p7 = 0
         p8a = 0
         p8b = 0
@@ -430,25 +421,18 @@ def audit_partition(
             "P8_deg2_near": p8c,
         }
 
-    bound_for = {
-        "P1": 2 * thr["P1"],
-        "P2": thr["P2"],
-        "P3": thr["P3"],
-        "P3_exists": thr["P3"],
-        "P4": thr["P4"],
-        "P5": thr["P5"],
-        "P6": thr["P6"],
-        "P7": thr["P7"],
-        "P8_alpha": thr["P8_alpha"],
-        "P8_deg1_far": thr["P8_deg"],
-        "P8_deg2_near": thr["P8_deg"],
-    }
+    decided: dict[tuple[str, object], bool] = {}
 
     def verdicts(meas: dict) -> dict:
-        return {
-            name: float(value) <= bound_for[name] + THRESHOLD_GUARD
-            for name, value in meas.items()
-        }
+        """Exact row verdicts, each computed once per distinct (row, value)."""
+        ok = {}
+        for name, value in meas.items():
+            key = (name, value)
+            if key not in decided:
+                c, k = exps[name]
+                decided[key] = value <= 0 or Fraction(value) ** k <= (c * n) ** k * gamma
+            ok[name] = decided[key]
+        return ok
 
     best = None
     for x6 in range(6):

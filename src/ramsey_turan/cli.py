@@ -8,6 +8,7 @@ uncolored graphs as graph6 lines; reports as CSV.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from .constructions import (
     kkl_36,
     turan,
 )
-from .graphs import Graph
+from .graphs import ColoredGraph, Graph
 from .qp import maximize_f, maximize_g
 from .search import RtInstance, find_free_coloring, ramsey_verify, rt_exact
 
@@ -46,10 +47,10 @@ def _fraction(text: str) -> Fraction:
 
 
 def _read_doc(path: str | None) -> dict:
-    import json
-
-    data = sys.stdin.read() if path in (None, "-") else open(path).read()
-    return json.loads(data)
+    if path in (None, "-"):
+        return json.loads(sys.stdin.read())
+    with open(path) as fh:
+        return json.loads(fh.read())
 
 
 def _emit_certificate(cert) -> int:
@@ -262,8 +263,6 @@ def _cmd_search(args) -> int:
                 )
             )
         else:
-            from .graphs import ColoredGraph
-
             sys.stdout.write(
                 jsonio.dumps(
                     jsonio.colored_graph_to_dict(ColoredGraph(g, result.coloring))

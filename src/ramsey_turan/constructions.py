@@ -20,6 +20,7 @@ from .graphs import (
     VertexPartition,
     independence_number,
 )
+from .report import bounds_36
 
 
 class ConstructionError(ValueError):
@@ -51,10 +52,15 @@ def turan(n: int, p: int) -> Graph:
         raise ValueError("part count must be >= 1")
     if p > n:
         raise ValueError(f"part count {p} exceeds vertex count {n}")
-    sizes = turan_part_sizes(n, p)
+    return _complete_multipartite(turan_part_sizes(n, p))
+
+
+def _complete_multipartite(sizes) -> Graph:
+    """Complete multipartite graph whose parts are consecutive vertex runs."""
+    n = sum(sizes)
     rows = [0] * n
-    start = 0
     full = (1 << n) - 1
+    start = 0
     for size in sizes:
         mask = ((1 << size) - 1) << start
         for v in range(start, start + size):
@@ -282,15 +288,8 @@ class DensityPoint:
 
     @classmethod
     def for_36(cls, delta) -> "DensityPoint":
-        delta = Fraction(delta)
-        base = Fraction(5, 12) + delta / 2
-        return cls(
-            p=3,
-            q=6,
-            delta=delta,
-            lower_bound=base + 2 * delta**2,
-            upper_bound=base + Fraction(841, 400) * delta**2,
-        )
+        lower, upper = bounds_36(delta)
+        return cls(p=3, q=6, delta=Fraction(delta), lower_bound=lower, upper_bound=upper)
 
 
 @dataclass

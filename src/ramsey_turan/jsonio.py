@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .certify import Certificate, CheckRow
-from .graphs import ColoredGraph, VertexPartition
+from .graphs import MAX_VERTICES, ColoredGraph, VertexPartition
 
 
 def colored_graph_to_dict(cg: ColoredGraph, parts: VertexPartition | None = None) -> dict:
@@ -25,19 +25,40 @@ def colored_graph_to_dict(cg: ColoredGraph, parts: VertexPartition | None = None
     return doc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_lists(value, what: str, width: int | None = None) -> list[tuple[int, ...]]:
+    """Validate a list of integer lists (each of ``width`` entries if given)."""
+    if not isinstance(value, list) or not all(
+        isinstance(row, list) and all(map(_is_int, row)) and width in (None, len(row))
+        for row in value
+    ):
+        raise ValueError(f"{what} must be a list of integer lists")
+    return [tuple(row) for row in value]
+
+
+def _vertex_count(doc: dict) -> int:
+    n = doc["n"]
+    if not _is_int(n) or not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"'n' must be an integer in [0, {MAX_VERTICES}]")
+    return n
+
+
 def colored_graph_from_dict(doc: dict) -> ColoredGraph:
     try:
-        n = doc["n"]
+        n = _vertex_count(doc)
         edges = doc["edges"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"colored-graph document missing field: {exc}") from exc
-    return ColoredGraph.from_colored_edges(n, [tuple(e) for e in edges])
+    return ColoredGraph.from_colored_edges(n, _int_lists(edges, "'edges'", 3))
 
 
 def partition_from_dict(doc: dict) -> VertexPartition:
     if "parts" not in doc:
         raise ValueError("document carries no 'parts' field")
-    return VertexPartition(doc["n"], [tuple(p) for p in doc["parts"]])
+    return VertexPartition(_vertex_count(doc), _int_lists(doc["parts"], "'parts'"))
 
 
 def _jsonable(value):

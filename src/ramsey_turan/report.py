@@ -60,14 +60,16 @@ def single_clique_density(p: int, delta) -> Fraction:
 
 
 def bounds_36(delta) -> tuple[Fraction, Fraction]:
+    """(lower, upper) (3,6) density coefficients at independence scale delta."""
     delta = Fr(delta)
-    base = Fr(5, 12) + delta / 2
+    base = TABLE_CONSTANTS[(3, 6)] + delta / 2
     return base + LOWER_36_QUAD * delta**2, base + UPPER_36_QUAD * delta**2
 
 
 def bounds_37(delta) -> tuple[Fraction, Fraction]:
+    """(lower, upper) (3,7) density coefficients; both are the conjectured value."""
     delta = Fr(delta)
-    value = Fr(7, 16) + delta / 2
+    value = TABLE_CONSTANTS[(3, 7)] + delta / 2
     return value, value
 
 

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .certify import Certificate, check_rt_witness
-from .graphs import ColoredGraph, EdgeColoring, Graph, bit_indices, independence_number
+from .constructions import _complete_multipartite
+from .graphs import (
+    ColoredGraph,
+    EdgeColoring,
+    Graph,
+    _clique_engine,
+    independence_number,
+)
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -112,31 +119,6 @@ class ColoringSearch:
     nodes: int
 
 
-def _has_clique_in(adj: list[int], inside: int, size: int) -> bool:
-    """Exact: does the graph restricted to the bitset ``inside`` contain a
-    clique of ``size`` vertices?"""
-    if size <= 0:
-        return True
-    if inside.bit_count() < size:
-        return False
-    # restrict adjacency once so candidates stay inside the allowed set
-    radj = [row & inside for row in adj]
-
-    def grow(cands: int, need: int) -> bool:
-        if need == 0:
-            return True
-        while cands:
-            if cands.bit_count() < need:
-                return False
-            v = (cands & -cands).bit_length() - 1
-            cands ^= 1 << v
-            if grow(cands & radj[v], need - 1):
-                return True
-        return False
-
-    return grow(inside, size)
-
-
 def find_free_coloring(
     g: Graph, p: int, q: int, budget: int = 10**6
 ) -> ColoringSearch:
@@ -156,7 +138,8 @@ def find_free_coloring(
     )
     n = g.n
     adj = {1: [0] * n, 2: [0] * n}
-    caps = {1: p, 2: q}
+    # a K_p (K_q) through uv is a K_{p-2} (K_{q-2}) in their common neighbourhood
+    needs = {1: p - 2, 2: q - 2}
     assignment: dict[tuple[int, int], int] = {}
     nodes = 0
 
@@ -170,8 +153,11 @@ def find_free_coloring(
             if nodes > budget:
                 raise SearchBudgetExceeded()
             rows = adj[c]
+            need = needs[c]
             common = rows[u] & rows[v]
-            if not _has_clique_in(rows, common, caps[c] - 2):
+            if need > 0 and (
+                not common or _clique_engine(rows, common, need - 1, need)[0] < need
+            ):
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
                 assignment[(u, v)] = c
@@ -250,19 +236,6 @@ def _partitions(n: int, largest: int | None = None):
     for first in range(cap, 0, -1):
         for rest in _partitions(n - first, first):
             yield (first,) + rest
-
-
-def _complete_multipartite(sizes: tuple[int, ...]) -> Graph:
-    n = sum(sizes)
-    rows = [0] * n
-    full = (1 << n) - 1
-    start = 0
-    for size in sizes:
-        mask = ((1 << size) - 1) << start
-        for v in range(start, start + size):
-            rows[v] = full & ~mask
-        start += size
-    return Graph(n, rows)
 
 
 def rt_exact(inst: RtInstance) -> RtResult:

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from ramsey_turan import ColoredGraph, EdgeColoring, Graph
+from ramsey_turan import ColoredGraph, EdgeColoring, Graph, maximize_f, maximize_g
 
 
 def petersen() -> Graph:
@@ -81,3 +81,14 @@ def pentagon_pattern_t12() -> ColoredGraph:
 @pytest.fixture
 def petersen_graph() -> Graph:
     return petersen()
+
+
+# the two certified maxima cost seconds each and are pure; compute them once
+@pytest.fixture(scope="session")
+def f_cert():
+    return maximize_f()
+
+
+@pytest.fixture(scope="session")
+def g_cert():
+    return maximize_g()

@@ -29,8 +29,6 @@ from ramsey_turan import (
     find_free_coloring,
     independence_number,
     kkl_36,
-    maximize_f,
-    maximize_g,
     mono_triangle_free_count,
     pentagonlike_census,
     ramsey_verify,
@@ -88,10 +86,8 @@ def test_criterion_2_ramsey_boundary():
     )
 
 
-def test_criterion_3_appendix_maxima():
+def test_criterion_3_appendix_maxima(f_cert, g_cert):
     start = time.monotonic()
-    g_cert = maximize_g()
-    f_cert = maximize_f()
     printed = eval_f(
         QpPoint((Fr("0.45"), Fr("0.55"), Fr("0.45"), 0, 0), (0, 0, Fr("0.55"), 1, 0))
     )

@@ -13,6 +13,7 @@ from ramsey_turan import (
     IndependenceCapError,
     KklParams,
     RuleVariant,
+    VertexPartition,
     audit_partition,
     bipartition_indep_search,
     check_colored_free,
@@ -240,6 +241,18 @@ class TestAuditPartition:
         p6 = next(row for row in cert.checks if row.name == "P6")
         assert p6.passed
         assert float(p6.measured) == 0.0  # crossing degree exactly n/6
+
+    def test_p1_decided_exactly_at_the_boundary(self):
+        # parts [7,1,1,1,1,1] of n=12 give P1 = 5, and the P1 bound
+        # 2 * gamma**(1/4) * 12 equals 5 exactly at gamma = (5/24)**4
+        cg = ColoredGraph(Graph.empty(12), EdgeColoring({}))
+        part = VertexPartition(12, [range(7)] + [(v,) for v in range(7, 12)])
+        gamma = Fraction(625, 331776)
+        for g, want in ((gamma - Fraction(1, 10**15), False), (gamma, True)):
+            cert = audit_partition(cg, part, AuditConfig(gamma=g))
+            p1 = next(row for row in cert.checks if row.name == "P1")
+            assert p1.measured == 5
+            assert p1.passed is want
 
     def test_wrong_part_count(self):
         cg = pentagonlike(range(5))

@@ -174,6 +174,23 @@ class TestCliCommands:
         assert cli_dispatch(["verify", "formula", "--formula", "kkl36",
                              "--delta", "x", "--tol", "1/50"]) == 2
 
+    @pytest.mark.parametrize(
+        "what, doc",
+        [
+            ("free", {"n": "3", "edges": []}),
+            ("free", {"n": 3, "edges": [[0, "1", 1]]}),
+            ("audit", {"n": 6, "edges": [], "parts": 5}),
+        ],
+    )
+    def test_malformed_documents_exit_2(self, capsys, tmp_path, what, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        extra = ["--p", "3", "--q", "3"] if what == "free" else ["--gamma", "1/5"]
+        code = cli_dispatch(["verify", what, *extra, "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_fgraph_stats_on_stderr(self, capsys):
         code = cli_dispatch(["construct", "fgraph", "--m", "10", "--d", "4"])
         captured = capsys.readouterr()

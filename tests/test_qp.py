@@ -8,8 +8,6 @@ from ramsey_turan import (
     QpPoint,
     eval_f,
     eval_g,
-    maximize_f,
-    maximize_g,
     optimal_y,
     reduce_f_over_y,
 )
@@ -106,27 +104,25 @@ class TestReduction:
 
 
 class TestMaximize:
-    def test_f_value_and_structure(self):
-        cert = maximize_f()
-        assert cert.max_value == Fr(841, 400)
-        assert float(cert.max_value) == 2.1025
-        assert cert.agreement_gap <= 1e-6
+    def test_f_value_and_structure(self, f_cert):
+        assert f_cert.max_value == Fr(841, 400)
+        assert float(f_cert.max_value) == 2.1025
+        assert f_cert.agreement_gap <= 1e-6
         # every y constraint is tight at the maximum
-        assert cert.argmax.y == optimal_y(cert.argmax.x)
-        assert eval_f(cert.argmax) == cert.max_value
+        assert f_cert.argmax.y == optimal_y(f_cert.argmax.x)
+        assert eval_f(f_cert.argmax) == f_cert.max_value
 
-    def test_g_value_and_argmax(self):
-        cert = maximize_g()
-        assert cert.max_value == 2
-        assert cert.argmax.x == (Fr(1, 2),) * 5
-        assert cert.argmax.y is None
-        assert cert.agreement_gap <= 1e-6
-        assert eval_g(cert.argmax) == 2
+    def test_g_value_and_argmax(self, g_cert):
+        assert g_cert.max_value == 2
+        assert g_cert.argmax.x == (Fr(1, 2),) * 5
+        assert g_cert.argmax.y is None
+        assert g_cert.agreement_gap <= 1e-6
+        assert eval_g(g_cert.argmax) == 2
 
-    def test_no_sampled_point_beats_certified_max(self):
+    def test_no_sampled_point_beats_certified_max(self, f_cert, g_cert):
         rng = random.Random(7)
-        fmax = float(maximize_f().max_value)
-        gmax = float(maximize_g().max_value)
+        fmax = float(f_cert.max_value)
+        gmax = float(g_cert.max_value)
         for _ in range(100_000):
             x = [rng.random() for _ in range(5)]
             for i in range(5):

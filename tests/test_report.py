@@ -2,7 +2,14 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from ramsey_turan import ReportRow, bound_gap_report, reference_table
+from ramsey_turan import (
+    DensityPoint,
+    ReportRow,
+    bound_gap_report,
+    edge_formula_check,
+    pentagonlike,
+    reference_table,
+)
 from ramsey_turan.report import (
     bounds_36,
     bounds_37,
@@ -73,10 +80,18 @@ class TestBoundGapReport:
             bound_gap_report([Fr(1)])
 
     def test_consistency_with_36_bounds(self):
-        delta = Fr(3, 100)
-        (_, lb, ub, _), = bound_gap_report([delta])
-        assert (lb, ub) == bounds_36(delta)
-        assert bounds_37(delta)[0] == Fr(7, 16) + delta / 2
+        # the formula check and DensityPoint read the one copy in report
+        cg = pentagonlike(range(5))
+        n2 = cg.n * cg.n
+        for delta in (Fr(1, 100), Fr(3, 100), Fr(1, 15), Fr(1, 10)):
+            (_, lb, ub, _), = bound_gap_report([delta])
+            assert (lb, ub) == bounds_36(delta)
+            assert bounds_37(delta)[0] == Fr(7, 16) + delta / 2
+            for formula, bounds in (("kkl36", bounds_36), ("c37", bounds_37)):
+                cert = edge_formula_check(cg, formula, delta, 1)
+                assert cert.params["target"] == bounds(delta)[0] * n2
+            point = DensityPoint.for_36(delta)
+            assert (point.lower_bound, point.upper_bound) == bounds_36(delta)
 
 
 class TestCsv:

@@ -22,6 +22,19 @@ from ramsey_turan.constructions import _is_five_cycle
 from .conftest import naive_has_clique
 
 
+def brute_force_colorable(g: Graph, p: int, q: int) -> bool:
+    """Try all 2^e colorings; independent of the backtracker and its engine."""
+    edges = list(g.edges())
+    for bits in range(1 << len(edges)):
+        red = [e for i, e in enumerate(edges) if (bits >> i) & 1]
+        blue = [e for i, e in enumerate(edges) if not (bits >> i) & 1]
+        if not naive_has_clique(Graph.from_edges(g.n, red), p) and not (
+            naive_has_clique(Graph.from_edges(g.n, blue), q)
+        ):
+            return True
+    return False
+
+
 class TestCanonical:
     def test_class_counts(self):
         # graphs on n unlabeled vertices: 1, 2, 4, 11, 34, 156
@@ -88,17 +101,28 @@ class TestFindFreeColoring:
             b = find_free_coloring(g, 4, 3).coloring is not None
             assert a == b
 
-    def test_every_five_vertex_graph_is_colorable(self):
-        # cross-oracle: restricting any pentagonlike coloring of K5 to a
-        # subgraph keeps both classes triangle-free, so all 34 classes pass
-        for mask in enumerate_canonical_graphs(5):
-            g = graph_from_canonical(5, mask)
-            result = find_free_coloring(g, 3, 3)
-            assert result.coloring is not None
-            cg = ColoredGraph(g, result.coloring)
-            for c, cap in ((1, 3), (2, 3)):
-                if cap <= g.n:
-                    assert not naive_has_clique(cg.color_class(c), cap)
+    @pytest.mark.parametrize(
+        "p, q, refuted",
+        [(3, 3, 0), (3, 4, 0), (2, 4, 6), (4, 2, 6), (2, 5, 1)],
+    )
+    def test_verdicts_match_brute_force(self, p, q, refuted):
+        # every canonical class with n <= 5 against all 2^e colorings; (3,3)
+        # refutes nothing since any pentagonlike coloring of K5 restricts to a
+        # triangle-free coloring of each subgraph
+        refuted_classes = 0
+        for n in range(1, 6):
+            for mask in enumerate_canonical_graphs(n):
+                g = graph_from_canonical(n, mask)
+                brute = brute_force_colorable(g, p, q)
+                result = find_free_coloring(g, p, q)
+                assert result.exhausted
+                assert (result.coloring is not None) == brute
+                refuted_classes += not brute
+                if result.coloring is not None:
+                    cg = ColoredGraph(g, result.coloring)
+                    assert not naive_has_clique(cg.color_class(1), p)
+                    assert not naive_has_clique(cg.color_class(2), q)
+        assert refuted_classes == refuted
 
 
 class TestRamseyVerify:
