@@ -33,7 +33,13 @@ from .constructions import (
 )
 from .graphs import ColoredGraph, Graph
 from .qp import maximize_f, maximize_g
-from .search import RtInstance, find_free_coloring, ramsey_verify, rt_exact
+from .search import (
+    RtInstance,
+    SearchBudgetExceeded,
+    find_free_coloring,
+    ramsey_verify,
+    rt_exact,
+)
 
 USAGE_ERROR = 2
 CERT_FAIL = 1
@@ -321,7 +327,7 @@ def cli_dispatch(argv) -> int:
             return _cmd_qp(args)
         if args.command == "report":
             return _cmd_report(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, SearchBudgetExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     raise AssertionError(args.command)

@@ -18,6 +18,7 @@ from .graphs import (
     EdgeColoring,
     Graph,
     VertexPartition,
+    _check_order,
     independence_number,
 )
 from .report import bounds_36
@@ -57,7 +58,7 @@ def turan(n: int, p: int) -> Graph:
 
 def _complete_multipartite(sizes) -> Graph:
     """Complete multipartite graph whose parts are consecutive vertex runs."""
-    n = sum(sizes)
+    n = _check_order(sum(sizes))
     rows = [0] * n
     full = (1 << n) - 1
     start = 0
@@ -85,7 +86,7 @@ def turan_partition(n: int, p: int) -> VertexPartition:
 
 def _andrasfai_rows(k: int) -> Graph:
     # circulant on 3k-1 vertices joining differences congruent to 1 mod 3
-    n = 3 * k - 1
+    n = _check_order(3 * k - 1)
     rows = [0] * n
     for u in range(n):
         for v in range(n):
@@ -105,7 +106,7 @@ def blowup(g: Graph, t: int) -> Graph:
     """Replace each vertex by an independent t-set and each edge by K_{t,t}."""
     if t < 1:
         raise ValueError("blow-up factor must be >= 1")
-    n = g.n * t
+    n = _check_order(g.n * t)
     rows = [0] * n
     block = (1 << t) - 1
     for v in range(g.n):

@@ -16,6 +16,13 @@ from typing import Iterator, Sequence
 MAX_VERTICES = 4096
 
 
+def _check_order(n: int) -> int:
+    """Return ``n`` if it is a valid vertex count; call before allocating rows."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+    return n
+
+
 def bit_indices(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -35,8 +42,7 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Sequence[int]):
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+        _check_order(n)
         if len(adj) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
         full = (1 << n) - 1
@@ -55,7 +61,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        rows = [0] * n
+        rows = [0] * _check_order(n)
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop ({u},{v})")
@@ -67,12 +73,12 @@ class Graph:
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        full = (1 << n) - 1
+        full = (1 << _check_order(n)) - 1
         return cls(n, [full ^ (1 << v) for v in range(n)])
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
-        return cls(n, [0] * n)
+        return cls(n, [0] * _check_order(n))
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .certify import Certificate, check_rt_witness
-from .constructions import _complete_multipartite
-from .graphs import (
-    ColoredGraph,
-    EdgeColoring,
-    Graph,
-    _clique_engine,
-    independence_number,
-)
+from .graphs import MAX_VERTICES, ColoredGraph, EdgeColoring, Graph, _clique_engine
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -106,6 +99,73 @@ def enumerate_canonical_graphs(n: int) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
+def _edge_search(n, pairs, colors, needs, budget):
+    """Iterative backtracking over the colours of ``pairs``.
+
+    Pair i gets the colours of ``colors`` in order.  Colour c is allowed on uv
+    iff ``needs[c] > 0`` and colour c has no K_{needs[c]} in the common
+    neighbourhood of u and v, i.e. placing uv closes no K_{needs[c] + 2}.
+    Colour 0 stands for a non-edge and is tried only while it keeps the count
+    of zeros below the best completed assignment (branch and bound); a
+    completed assignment becomes the new best and one without zeros ends the
+    search.  Each attempted assignment counts one node.  Returns (best
+    assignment as a colour list or None, search completed, nodes).
+    """
+    layers = [[0] * n, [0] * n, [0] * n]
+    total = len(pairs)
+    ncolors = len(colors)
+    placed = [0] * total
+    # choice[i]: index in colors of the next colour to try at pair i
+    choice = [0] * total
+    best = None
+    best_zeros = total + 1
+    zeros = nodes = i = k = 0
+    while True:
+        if i == total:
+            best = placed[:]
+            best_zeros = zeros
+            if not zeros:
+                return best, True, nodes
+        elif zeros < best_zeros:
+            u, v = pairs[i]
+            while k < ncolors:
+                c = colors[k]
+                k += 1
+                if not c and zeros + 1 >= best_zeros:
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    return best, False, nodes
+                need = needs[c]
+                if need <= 0:
+                    continue
+                rows = layers[c]
+                common = rows[u] & rows[v]
+                if common and _clique_engine(rows, common, need - 1, need)[0] >= need:
+                    continue
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+                placed[i] = c
+                choice[i] = k
+                zeros += not c
+                i += 1
+                k = 0
+                break
+            if not k:  # placed a colour and moved on to the next pair
+                continue
+        # pair i is exhausted (or cannot beat the best): undo pair i - 1
+        i -= 1
+        if i < 0:
+            return best, True, nodes
+        u, v = pairs[i]
+        c = placed[i]
+        rows = layers[c]
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+        zeros -= not c
+        k = choice[i]
+
+
 @dataclass
 class ColoringSearch:
     """Outcome of the free-coloring backtracker.
@@ -136,45 +196,11 @@ def find_free_coloring(
     edges = sorted(
         g.edges(), key=lambda e: (-(g.degree(e[0]) + g.degree(e[1])), e)
     )
-    n = g.n
-    adj = {1: [0] * n, 2: [0] * n}
     # a K_p (K_q) through uv is a K_{p-2} (K_{q-2}) in their common neighbourhood
-    needs = {1: p - 2, 2: q - 2}
-    assignment: dict[tuple[int, int], int] = {}
-    nodes = 0
-
-    def place(idx: int) -> bool:
-        nonlocal nodes
-        if idx == len(edges):
-            return True
-        u, v = edges[idx]
-        for c in (1, 2):
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded()
-            rows = adj[c]
-            need = needs[c]
-            common = rows[u] & rows[v]
-            if need > 0 and (
-                not common or _clique_engine(rows, common, need - 1, need)[0] < need
-            ):
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-                assignment[(u, v)] = c
-                if place(idx + 1):
-                    return True
-                del assignment[(u, v)]
-                rows[u] &= ~(1 << v)
-                rows[v] &= ~(1 << u)
-        return False
-
-    try:
-        found = place(0)
-    except SearchBudgetExceeded:
-        return ColoringSearch(None, False, nodes)
-    if found:
-        return ColoringSearch(EdgeColoring(dict(assignment)), True, nodes)
-    return ColoringSearch(None, True, nodes)
+    found, exhausted, nodes = _edge_search(g.n, edges, (1, 2), (0, p - 2, q - 2), budget)
+    if found is None:
+        return ColoringSearch(None, exhausted, nodes)
+    return ColoringSearch(EdgeColoring(dict(zip(edges, found))), True, nodes)
 
 
 def ramsey_verify(p: int, q: int, n: int, budget: int = 10**6) -> bool:
@@ -195,6 +221,8 @@ def ramsey_verify(p: int, q: int, n: int, budget: int = 10**6) -> bool:
 
 @dataclass(frozen=True)
 class RtInstance:
+    """``budget`` caps the node count of the whole search."""
+
     n: int
     p: int
     q: int
@@ -202,8 +230,8 @@ class RtInstance:
     budget: int = 10**6
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= self.n <= MAX_VERTICES:
+            raise ValueError(f"n must be in [1, {MAX_VERTICES}]")
         if self.p < 2 or self.q < 2:
             raise ValueError("clique sizes must be >= 2")
         if self.m < 1:
@@ -215,7 +243,8 @@ class RtInstance:
 @dataclass
 class RtResult:
     """value is the exact maximum edge count, or None when no n-vertex graph
-    satisfies both constraints (only trustworthy when ``exhausted``)."""
+    satisfies both constraints (only trustworthy when ``exhausted``); a
+    non-exhausted value is a lower bound.  ``nodes`` counts search nodes."""
 
     value: int | None
     witness: ColoredGraph | None
@@ -228,72 +257,27 @@ class RtResult:
         return check_rt_witness(self.witness, inst.p, inst.q, inst.m)
 
 
-def _partitions(n: int, largest: int | None = None):
-    if n == 0:
-        yield ()
-        return
-    cap = n if largest is None else min(n, largest)
-    for first in range(cap, 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
 def rt_exact(inst: RtInstance) -> RtResult:
     """Exact maximum edge count over all n-vertex graphs with independence
     at most m that admit a (p, q)-free coloring.
 
-    Complete multipartite seeds establish a fast lower bound, then the
-    canonical isomorphism-class sweep (exhaustive for n <= 8) proves
-    optimality by visiting the remaining graphs in decreasing edge count.
+    Such a graph with its coloring is a 3-coloring of the pairs of K_n with
+    no K_p in color 1, no K_q in color 2 and no K_{m+1} among the non-edges
+    (color 0).  The edge search branches on the pairs in column order, edge
+    colors first, and bounds on the number of non-edges, so the first
+    assignment found is a dense lower bound and a completed search proves the
+    fewest non-edges.
     """
     n = inst.n
-    nodes = 0
-    best_value: int | None = None
-    best_witness: ColoredGraph | None = None
-    all_conclusive = True
-
-    def attempt(g: Graph) -> bool:
-        """Try to certify g; returns True when a coloring was found."""
-        nonlocal nodes, best_value, best_witness, all_conclusive
-        alpha, _ = independence_number(g)
-        if alpha > inst.m:
-            return False
-        result = find_free_coloring(g, inst.p, inst.q, inst.budget)
-        nodes += result.nodes
-        if result.coloring is None:
-            if not result.exhausted:
-                all_conclusive = False
-            return False
-        best_value = g.edge_count
-        best_witness = ColoredGraph(g, result.coloring)
-        return True
-
-    for sizes in _partitions(n):
-        g = _complete_multipartite(sizes)
-        if max(sizes) > inst.m:
-            continue
-        if best_value is not None and g.edge_count <= best_value:
-            continue
-        attempt(g)
-
-    if n <= 8:
-        sweep = sorted(
-            enumerate_canonical_graphs(n),
-            key=lambda mask: (-mask.bit_count(), mask),
-        )
-        exhausted = True
-        for mask in sweep:
-            e = mask.bit_count()
-            if best_value is not None and e <= best_value:
-                break
-            g = graph_from_canonical(n, mask)
-            if attempt(g):
-                # sweep is ordered by decreasing edge count, so the first
-                # qualifying graph at this point is the maximum
-                break
-            if not all_conclusive:
-                exhausted = False
-                break
-        return RtResult(best_value, best_witness, exhausted, nodes)
-
-    return RtResult(best_value, best_witness, False, nodes)
+    # a completed assignment costs at least one node per pair, so a smaller
+    # budget cannot finish even one graph
+    if n * (n - 1) // 2 > inst.budget:
+        return RtResult(None, None, False, 0)
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    needs = (inst.m - 1, inst.p - 2, inst.q - 2)
+    best, exhausted, nodes = _edge_search(n, pairs, (1, 2, 0), needs, inst.budget)
+    if best is None:
+        return RtResult(None, None, exhausted, nodes)
+    colored = [(u, v, c) for (u, v), c in zip(pairs, best) if c]
+    witness = ColoredGraph.from_colored_edges(n, colored)
+    return RtResult(len(colored), witness, exhausted, nodes)

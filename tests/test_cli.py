@@ -1,9 +1,14 @@
+import io
 import json
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ramsey_turan import ColoredGraph, pentagonlike
+from ramsey_turan import ColoredGraph, Graph, graph6, pentagonlike
 from ramsey_turan.cli import cli_dispatch
 from ramsey_turan.jsonio import (
     certificate_from_dict,
@@ -173,6 +178,9 @@ class TestCliCommands:
         capsys.readouterr()
         assert cli_dispatch(["verify", "formula", "--formula", "kkl36",
                              "--delta", "x", "--tol", "1/50"]) == 2
+        capsys.readouterr()
+        assert cli_dispatch(["search", "rt", "--n", "5000", "--p", "3", "--q", "3",
+                             "--m", "2"]) == 2
 
     @pytest.mark.parametrize(
         "what, doc",
@@ -196,3 +204,74 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert code == 0
         assert "achieved degree 4" in captured.err
+
+
+class TestCliContract:
+    def test_budget_exhaustion_exits_2(self, capsys):
+        code = cli_dispatch(["search", "ramsey", "--p", "3", "--q", "3", "--n", "6",
+                             "--budget", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_vertex_cap_checked_before_building(self, capsys):
+        start = time.perf_counter()
+        code = cli_dispatch(["construct", "andrasfai", "--k", "2000"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert elapsed < 1.0
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_coloring_of_deep_input(self, capsys):
+        # T(80, 2) has 1600 edges, one recursion level each in the old search
+        code, out = run(capsys, "construct", "turan", "--n", "80", "--parts", "2")
+        assert code == 0
+        code, out = run(capsys, "search", "coloring", "--p", "3", "--q", "3",
+                        "--g6", out.strip())
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["n"] == 80 and len(doc["edges"]) == 1600
+
+
+def _dispatch_quietly(argv) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return cli_dispatch(argv)
+
+
+@st.composite
+def graph6_lines(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 12))
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [e for e, k in zip(pairs, keep) if k]
+        return graph6.encode(Graph.from_edges(n, edges))
+    return draw(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=130),
+                        max_size=12))
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(line=graph6_lines(), p=st.integers(0, 5), q=st.integers(0, 5))
+    def test_coloring_exit_codes(self, line, p, q):
+        code = _dispatch_quietly(["search", "coloring", "--p", str(p), "--q", str(q),
+                                  "--budget", "50", "--g6", line])
+        assert code in (0, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        what=st.sampled_from(["ramsey", "rt"]),
+        n=st.integers(-1, 9),
+        p=st.integers(0, 5),
+        q=st.integers(0, 5),
+        m=st.integers(-1, 4),
+        budget=st.integers(-2, 200),
+    )
+    def test_search_exit_codes(self, what, n, p, q, m, budget):
+        argv = ["search", what, "--n", str(n), "--p", str(p), "--q", str(q),
+                "--budget", str(budget)]
+        if what == "rt":
+            argv += ["--m", str(m)]
+        assert _dispatch_quietly(argv) in (0, 2)

@@ -7,6 +7,7 @@ from ramsey_turan import (
     ColoredGraph,
     Graph,
     RtInstance,
+    RtResult,
     SearchBudgetExceeded,
     canonical_form,
     check_rt_witness,
@@ -18,8 +19,9 @@ from ramsey_turan import (
     rt_exact,
 )
 from ramsey_turan.constructions import _is_five_cycle
+from ramsey_turan.graphs import MAX_VERTICES
 
-from .conftest import naive_has_clique
+from .conftest import naive_has_clique, naive_independence
 
 
 def brute_force_colorable(g: Graph, p: int, q: int) -> bool:
@@ -33,6 +35,17 @@ def brute_force_colorable(g: Graph, p: int, q: int) -> bool:
         ):
             return True
     return False
+
+
+def colorable_classes(n: int, p: int, q: int) -> tuple[tuple[int, int], ...]:
+    """(edge count, independence number) of every n-vertex class with a
+    (p, q)-free coloring, by brute force over the canonical sweep."""
+    out = []
+    for mask in enumerate_canonical_graphs(n):
+        g = graph_from_canonical(n, mask)
+        if brute_force_colorable(g, p, q):
+            out.append((mask.bit_count(), naive_independence(g)))
+    return tuple(out)
 
 
 class TestCanonical:
@@ -197,7 +210,52 @@ class TestRtExact:
                 vals = [value(n, 3, q, m) for q in (3, 4, 5)]
                 assert vals == sorted(vals)
 
+    @pytest.mark.parametrize("p, q", [(3, 3), (3, 4), (2, 4), (2, 5)])
+    def test_matches_canonical_oracle(self, p, q):
+        # the oracle never runs the edge search: canonical sweep, naive
+        # independence number and 2^e brute-force colorings
+        for n in range(1, 6):
+            classes = colorable_classes(n, p, q)
+            for m in (1, 2, 3):
+                values = [e for e, alpha in classes if alpha <= m]
+                expected = max(values) if values else None
+                result = rt_exact(RtInstance(n=n, p=p, q=q, m=m))
+                assert result.exhausted
+                assert result.value == expected, (n, p, q, m)
+                if expected is None:
+                    assert result.witness is None
+                else:
+                    assert result.witness.graph.edge_count == expected
+                    assert check_rt_witness(result.witness, p, q, m).passed
+
+    @pytest.mark.parametrize(
+        "n, p, q, m, value",
+        [(7, 3, 3, 2, 19), (7, 3, 4, 2, 21), (8, 3, 3, 2, 25), (8, 3, 4, 2, 28)],
+    )
+    def test_pinned_values(self, n, p, q, m, value):
+        result = rt_exact(RtInstance(n=n, p=p, q=q, m=m))
+        assert result.exhausted
+        assert result.value == value
+        assert result.witness.graph.edge_count == value
+        assert check_rt_witness(result.witness, p, q, m).passed
+
+    def test_budget_limited_search_is_not_exhausted(self):
+        result = rt_exact(RtInstance(n=7, p=3, q=3, m=2, budget=500))
+        assert not result.exhausted
+        assert result.nodes == 501
+        if result.value is not None:
+            assert result.value <= 19
+            assert check_rt_witness(result.witness, 3, 3, 2).passed
+
+    def test_budget_below_pair_count_returns_at_once(self):
+        # 28 pairs need at least 28 nodes for a single graph
+        result = rt_exact(RtInstance(n=8, p=3, q=3, m=2, budget=27))
+        assert result == RtResult(None, None, False, 0)
+        assert rt_exact(RtInstance(n=8, p=3, q=3, m=2, budget=28)).nodes > 0
+
     def test_instance_validation(self):
+        with pytest.raises(ValueError):
+            RtInstance(n=MAX_VERTICES + 1, p=3, q=3, m=1)
         with pytest.raises(ValueError):
             RtInstance(n=0, p=3, q=3, m=1)
         with pytest.raises(ValueError):
