@@ -294,6 +294,8 @@ def _cmd_qp(args) -> int:
         "method": cert.method,
         "agreement_gap": cert.agreement_gap,
         "implied_bound": cert.implied_bound,
+        "faces": cert.faces,
+        "candidates": cert.candidates,
     }
     sys.stdout.write(jsonio.dumps(doc))
     return 0
@@ -301,7 +303,9 @@ def _cmd_qp(args) -> int:
 
 def _cmd_report(args) -> int:
     if args.what == "table":
-        singles = [(p, d) for p in args.clique for d in (args.delta or [Fraction(0)])]
+        if args.clique and not args.delta:
+            raise ValueError("--clique needs at least one --delta")
+        singles = [(p, d) for p in args.clique for d in args.delta]
         sys.stdout.write(report.reference_table_csv(args.delta, singles))
         return 0
     if args.what == "gaps":

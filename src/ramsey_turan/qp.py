@@ -9,14 +9,18 @@ x_i >= 0, x_i + x_{i+1} <= 1 (indices mod 5):
     y_i = 1 - x_i - x_{i+1} at any maximum;
   * ``g`` is already five-variable.
 
-Maxima are certified two independent ways: exact rational stationary-point
-enumeration over all activity patterns of the ten constraints, and a
-float-valued lattice search refined by pattern ascent.  Disagreement beyond
-1e-6 raises instead of being papered over.
+The maximum is decided exactly: the polytope has 12 vertices and 153
+non-empty faces, and on every face whose reduced Hessian is negative
+definite the unique stationary point is solved in rationals; these points
+and the vertices contain a maximum (see ``_face_candidates``).  A float
+lattice search refined by pattern ascent cross-checks the exact value, and
+disagreement beyond 1e-6 raises instead of being papered over.  Both
+certificates are pure and memoized.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -120,49 +124,56 @@ def reduce_f_over_y(x) -> Fraction:
 
 @dataclass(frozen=True)
 class QpCertificate:
+    """A certified maximum; ``faces`` counts the polytope faces examined and
+    ``candidates`` the feasible points whose exact values were compared."""
+
     max_value: Fraction
     argmax: QpPoint
     method: str
     agreement_gap: float
     implied_bound: str
+    faces: int
+    candidates: int
 
 
 # ----------------------------------------------------------------------
-# method (a): exact stationary-point enumeration over activity patterns
+# method (a): exact stationary points over the faces of the polytope
 
 
-def _solve_rational(rows: list[list[Fraction]]) -> list[Fraction] | None:
-    """Solve an augmented rational system; free variables are set to zero.
+def _eliminate(rows: list[list[Fraction]], cols: int):
+    """Gauss-Jordan elimination on the first ``cols`` columns, in place.
 
-    Returns None when inconsistent.
+    Returns the pivot columns; row r holds the pivot of the r-th of them.
     """
-    rows = [row[:] for row in rows]
-    m = len(rows)
-    cols = len(rows[0]) - 1
     pivot_cols = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = 1 / rows[r][c]
         rows[r] = [v * inv for v in rows[r]]
-        for i in range(m):
+        for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 factor = rows[i][c]
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
         pivot_cols.append(c)
         r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if all(v == 0 for v in rows[i][:cols]) and rows[i][cols] != 0:
-            return None
-    solution = [Fr(0)] * cols
-    for i, c in enumerate(pivot_cols):
-        solution[c] = rows[i][cols]
-    return solution
+    return pivot_cols
+
+
+def _solve_rational(rows: list[list[Fraction]]) -> list[Fraction]:
+    """Solve a square augmented rational system [M | b] with M nonsingular.
+
+    Raises ValueError on a singular M rather than fixing free variables
+    arbitrarily; ``_face_candidates`` passes only reduced Hessians it has
+    proved definite.
+    """
+    rows = [row[:] for row in rows]
+    if _eliminate(rows, len(rows)) != list(range(len(rows))):
+        raise ValueError("singular system")
+    return [row[-1] for row in rows]
 
 
 def _constraints():
@@ -186,37 +197,95 @@ def _feasible(x: list[Fraction]) -> bool:
     )
 
 
-def _kkt_candidates(quad: list[list[Fraction]], lin: list[Fraction], const: Fraction):
-    """All stationary points of c0 + c.x + x'Qx over activity patterns.
+def _vertices() -> list[tuple[Fraction, ...]]:
+    """The 12 vertices: 0, each e_i, each e_i + e_{i+2}, and all-1/2."""
+    unit = [tuple(Fr(int(j == i)) for j in range(5)) for i in range(5)]
+    out = [(Fr(0),) * 5] + unit
+    out += [tuple(a + b for a, b in zip(unit[i], unit[(i + 2) % 5])) for i in range(5)]
+    out.append((Fr(1, 2),) * 5)
+    return out
 
-    For every subset S of the ten constraints, solves
-        2Q x - A_S' lambda = -c,   A_S x = b_S
-    exactly in rationals and keeps the feasible solutions.  The maximum over
-    a compact polytope is a first-order point for its own active set, so it
-    always appears among the candidates.
+
+def _tight_mask(x) -> int:
+    """Bit k set when constraint k of ``_constraints()`` holds with equality."""
+    return sum(1 << k for k, (a, b) in enumerate(_constraints())
+               if sum(ai * xi for ai, xi in zip(a, x)) == b)
+
+
+@functools.cache
+def _faces() -> tuple[tuple[int, tuple[int, ...], tuple[tuple[Fraction, ...], ...]], ...]:
+    """Every non-empty face as (tight mask, vertex indices, direction basis).
+
+    A face is cut out by making a constraint set tight, and its tight mask is
+    the AND of the masks of its vertices, so the faces are exactly the ANDs
+    of non-empty sets of vertex masks (the whole polytope is the AND of all
+    twelve).  The basis rows span the face's affine hull from its first
+    vertex; their count is the dimension.  Sorted by dimension, then mask.
     """
-    cons = _constraints()
+    verts = _vertices()
+    masks = [_tight_mask(v) for v in verts]
+    tights: set[int] = set()
+    for m in masks:
+        tights |= {m & t for t in tights}
+        tights.add(m)
+    faces = []
+    for t in tights:
+        members = tuple(i for i, m in enumerate(masks) if m & t == t)
+        base = verts[members[0]]
+        diffs = [[a - b for a, b in zip(verts[i], base)] for i in members[1:]]
+        rank = len(_eliminate(diffs, 5))
+        faces.append((t, members, tuple(tuple(row) for row in diffs[:rank])))
+    faces.sort(key=lambda face: (len(face[2]), face[0]))
+    return tuple(faces)
+
+
+def _negative_definite(h: list[list[Fraction]]) -> bool:
+    """Exact test by symmetric elimination: -h is positive definite iff every
+    pivot taken down the diagonal, without row exchanges, is positive."""
+    m = [[-v for v in row] for row in h]
+    for i in range(len(m)):
+        if m[i][i] <= 0:
+            return False
+        for r in range(i + 1, len(m)):
+            factor = m[r][i] / m[i][i]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[i])]
+    return True
+
+
+def _face_candidates(quad: list[list[Fraction]], lin: list[Fraction]):
+    """Finitely many feasible points that include a maximum of c.x + x'Qx.
+
+    A maximum x* lies in the relative interior of exactly one face F, so it
+    is a local maximum on F's affine hull x0 + span(N) (N's rows are the
+    face's basis): the gradient along N vanishes and the reduced Hessian
+    N Q N' is negative semidefinite.  If that Hessian is singular, the
+    objective is constant on the line through x* along a null direction,
+    and the line leaves the bounded face F at a maximum on a lower face.
+    Repeating this ends at a maximum on a face whose reduced Hessian is
+    negative definite (at worst a vertex), where it is the unique stationary
+    point.  So faces whose Hessian is not negative definite are skipped,
+    every other face yields its stationary point when that is feasible, and
+    the vertices are always candidates.
+    """
+    verts = _vertices()
     out = []
-    for bits in range(1 << len(cons)):
-        active = [cons[i] for i in range(len(cons)) if (bits >> i) & 1]
-        k = len(active)
-        rows = []
-        for i in range(5):
-            row = [2 * quad[i][j] for j in range(5)]
-            row += [-active[s][0][i] for s in range(k)]
-            row.append(-lin[i])
-            rows.append(row)
-        for a, b in active:
-            rows.append(list(a) + [Fr(0)] * k + [b])
-        sol = _solve_rational(rows)
-        if sol is None:
+    for _, members, basis in _faces():
+        x0 = verts[members[0]]
+        if not basis:
+            out.append(x0)
             continue
-        x = sol[:5]
-        if not _feasible(x):
+        qn = [[sum(quad[i][j] * b[j] for j in range(5)) for i in range(5)] for b in basis]
+        h = [[sum(u[i] * w[i] for i in range(5)) for w in qn] for u in basis]
+        if not _negative_definite(h):
             continue
-        value = const + sum(lin[i] * x[i] for i in range(5))
-        value += sum(x[i] * quad[i][j] * x[j] for i in range(5) for j in range(5))
-        out.append((value, tuple(x)))
+        # gradient along basis row u at x0 is u.(lin + 2 Q x0)
+        grad = [lin[i] + 2 * sum(quad[i][j] * x0[j] for j in range(5)) for i in range(5)]
+        rows = [[2 * v for v in h[r]] + [-sum(u * g for u, g in zip(basis[r], grad))]
+                for r in range(len(basis))]
+        z = _solve_rational(rows)
+        x = tuple(x0[i] + sum(z[r] * basis[r][i] for r in range(len(basis))) for i in range(5))
+        if _feasible(x):
+            out.append(x)
     return out
 
 
@@ -241,6 +310,17 @@ def _quad_matrix(sign: int) -> list[list[Fraction]]:
     return q
 
 
+def _exact_max(quad, lin, const):
+    """(maximum, representative argmax, candidate count) of
+    const + lin.x + x'Qx over the polytope, in exact rationals."""
+    cands = [
+        (const + sum(lin[i] * x[i] for i in range(5))
+         + sum(x[i] * quad[i][j] * x[j] for i in range(5) for j in range(5)), x)
+        for x in _face_candidates(quad, lin)
+    ]
+    return (*_pick_argmax(cands), len(cands))
+
+
 # ----------------------------------------------------------------------
 # method (b): float lattice search + pattern ascent
 
@@ -251,6 +331,20 @@ def _feasible_float(x, slack=1e-9) -> bool:
     )
 
 
+def _lattice() -> list[tuple[float, ...]]:
+    """Feasible points of the step-1/10 lattice in lexicographic order, each
+    pair sum tested exactly as ``_feasible_float(x, slack=0.0)`` tests it."""
+    levels = [k / 10 for k in range(11)]
+    return [
+        (a, b, c, d, e)
+        for a in levels
+        for b in levels if a + b <= 1
+        for c in levels if b + c <= 1
+        for d in levels if c + d <= 1
+        for e in levels if d + e <= 1 and e + a <= 1
+    ]
+
+
 def _grid_ascent(objective, seed: int = 0) -> tuple[float, tuple[float, ...]]:
     """Feasible-lattice scan refined by sign-pattern ascent at 1/100 scale.
 
@@ -259,11 +353,7 @@ def _grid_ascent(objective, seed: int = 0) -> tuple[float, tuple[float, ...]]:
     shrinking from 1/100 once no pattern improves.
     """
     rng = random.Random(seed)
-    starts = []
-    levels = [k / 10 for k in range(11)]
-    for x in itertools.product(levels, repeat=5):
-        if _feasible_float(x, slack=0.0):
-            starts.append((objective(x), x))
+    starts = [(objective(x), x) for x in _lattice()]
     for _ in range(50):
         x = tuple(rng.uniform(0, 1) for _ in range(5))
         if _feasible_float(x, slack=0.0):
@@ -294,12 +384,13 @@ def _grid_ascent(objective, seed: int = 0) -> tuple[float, tuple[float, ...]]:
 
 
 def _certify(quad_sign, lin, const, names, as_f_point):
-    quad = _quad_matrix(quad_sign)
-    cands = _kkt_candidates(quad, lin, const)
-    value, x = _pick_argmax(cands)
+    value, x, candidates = _exact_max(_quad_matrix(quad_sign), lin, const)
+
+    const_float = float(const)
+    lin_float = [float(v) for v in lin]
 
     def objective(xs) -> float:
-        s = float(const) + sum(float(lin[i]) * xs[i] for i in range(5))
+        s = const_float + sum(lin_float[i] * xs[i] for i in range(5))
         s += quad_sign * sum(xs[a] * xs[b] for a, b in _PAIRS)
         return s
 
@@ -314,12 +405,15 @@ def _certify(quad_sign, lin, const, names, as_f_point):
     return QpCertificate(
         max_value=value,
         argmax=point,
-        method="kkt-active-set + lattice-pattern-ascent",
+        method="kkt-faces + lattice-pattern-ascent",
         agreement_gap=gap,
         implied_bound=names,
+        faces=len(_faces()),
+        candidates=candidates,
     )
 
 
+@functools.cache
 def maximize_f() -> QpCertificate:
     """Certified maximum of the ten-variable quadratic.
 
@@ -343,6 +437,7 @@ def maximize_f() -> QpCertificate:
     return cert
 
 
+@functools.cache
 def maximize_g() -> QpCertificate:
     """Certified maximum of the five-variable quadratic."""
     return _certify(

@@ -73,35 +73,42 @@ def bounds_37(delta) -> tuple[Fraction, Fraction]:
     return value, value
 
 
+def _scale(delta) -> Fraction:
+    """delta as a Fraction, which must lie in the open interval (0, 1)."""
+    delta = Fr(delta)
+    if not 0 < delta < 1:
+        raise ValueError(f"delta={delta} outside (0, 1)")
+    return delta
+
+
 def reference_table(deltas=(), single_cliques=()) -> list[ReportRow]:
     """Fixed constants plus parametrized rows for the requested grids.
 
     ``deltas`` adds a two-clique (3,6) and (3,7) row per value; pairs
     ``(p, delta)`` in ``single_cliques`` add single-clique formula rows.
+    Every requested delta must lie in (0, 1).
     """
+    deltas = [_scale(d) for d in deltas]
+    single_cliques = [(p, _scale(d)) for p, d in single_cliques]
     rows = [
         ReportRow(p, q, Fr(0), c, c, "Table1")
         for (p, q), c in sorted(TABLE_CONSTANTS.items())
     ]
     for delta in deltas:
-        delta = Fr(delta)
         lb, ub = bounds_36(delta)
         rows.append(ReportRow(3, 6, delta, lb, ub, "Construction"))
         lb, ub = bounds_37(delta)
         rows.append(ReportRow(3, 7, delta, lb, ub, "Conjecture"))
     for p, delta in single_cliques:
         value = single_clique_density(p, delta)
-        rows.append(ReportRow(p, None, Fr(delta), value, value, "Formula"))
+        rows.append(ReportRow(p, None, delta, value, value, "Formula"))
     return rows
 
 
 def bound_gap_report(delta_grid) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
     """Rows (delta, lb, ub, gap) with gap = ub - lb = (41/400) * delta^2."""
     rows = []
-    for delta in delta_grid:
-        delta = Fr(delta)
-        if not 0 < delta < 1:
-            raise ValueError(f"delta={delta} outside (0, 1)")
+    for delta in map(_scale, delta_grid):
         lb, ub = bounds_36(delta)
         rows.append((delta, lb, ub, ub - lb))
     return rows

@@ -83,7 +83,8 @@ def petersen_graph() -> Graph:
     return petersen()
 
 
-# the two certified maxima cost seconds each and are pure; compute them once
+# the two certified maxima are memoized by the package, so these fixtures and
+# the CLI tests share one computation of each
 @pytest.fixture(scope="session")
 def f_cert():
     return maximize_f()

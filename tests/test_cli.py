@@ -171,6 +171,25 @@ class TestCliCommands:
         assert code == 0
         assert "5/12" in out and "Formula" in out
 
+    @pytest.mark.parametrize("delta", ["2", "0"])
+    def test_report_table_rejects_delta_outside_unit_interval(self, capsys, delta):
+        code = cli_dispatch(["report", "table", "--delta", delta, "--clique", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_report_table_clique_needs_delta(self, capsys):
+        assert cli_dispatch(["report", "table", "--clique", "5"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_qp_prints_face_counts(self, capsys):
+        code, out = run(capsys, "qp", "g")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["faces"], doc["candidates"]) == (153, 12)
+        assert doc["method"] == "kkt-faces + lattice-pattern-ascent"
+
     def test_usage_errors(self, capsys):
         assert cli_dispatch(["frobnicate"]) == 2
         capsys.readouterr()

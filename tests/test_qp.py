@@ -1,3 +1,6 @@
+import functools
+import itertools
+import operator
 import random
 from fractions import Fraction as Fr
 
@@ -8,9 +11,21 @@ from ramsey_turan import (
     QpPoint,
     eval_f,
     eval_g,
+    maximize_f,
+    maximize_g,
     optimal_y,
     reduce_f_over_y,
 )
+from ramsey_turan import qp
+
+H = Fr(1, 2)
+# 0, e_i, e_i + e_{i+2}, all-1/2
+VERTICES = [
+    (0, 0, 0, 0, 0),
+    (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1),
+    (1, 0, 1, 0, 0), (0, 1, 0, 1, 0), (0, 0, 1, 0, 1), (1, 0, 0, 1, 0), (0, 1, 0, 0, 1),
+    (H, H, H, H, H),
+]
 
 PRINTED_POINT = QpPoint(
     (Fr("0.45"), Fr("0.55"), Fr("0.45"), 0, 0),
@@ -112,6 +127,18 @@ class TestMaximize:
         assert f_cert.argmax.y == optimal_y(f_cert.argmax.x)
         assert eval_f(f_cert.argmax) == f_cert.max_value
 
+    def test_f_argmax_and_counts(self, f_cert):
+        assert f_cert.argmax.x == (Fr(11, 20), Fr(9, 20), 0, 0, Fr(9, 20))
+        assert (f_cert.faces, f_cert.candidates) == (153, 27)
+        assert f_cert.method == "kkt-faces + lattice-pattern-ascent"
+
+    def test_g_counts(self, g_cert):
+        assert (g_cert.faces, g_cert.candidates) == (153, 12)
+
+    def test_memoized(self, f_cert, g_cert):
+        assert maximize_f() is f_cert
+        assert maximize_g() is g_cert
+
     def test_g_value_and_argmax(self, g_cert):
         assert g_cert.max_value == 2
         assert g_cert.argmax.x == (Fr(1, 2),) * 5
@@ -142,6 +169,92 @@ class TestMaximize:
             )
             assert fv <= fmax + 1e-9
             assert gv <= gmax + 1e-9
+
+
+def rank(rows) -> int:
+    rows = [list(r) for r in rows]
+    return len(qp._eliminate(rows, 5))
+
+
+class TestFaces:
+    def test_vertices_pinned_and_complete(self):
+        assert qp._vertices() == [tuple(Fr(v) for v in x) for x in VERTICES]
+        # every basic feasible solution of five tight constraints is listed
+        cons = qp._constraints()
+        found = set()
+        for subset in itertools.combinations(cons, 5):
+            try:
+                x = qp._solve_rational([list(a) + [b] for a, b in subset])
+            except ValueError:
+                continue
+            if qp._feasible(x):
+                found.add(tuple(x))
+        assert found == set(qp._vertices())
+
+    def test_face_lattice(self):
+        faces = qp._faces()
+        assert len(faces) == 153
+        dims = [len(basis) for _, _, basis in faces]
+        fvec = tuple(dims.count(d) for d in range(6))
+        assert fvec == (12, 40, 55, 35, 10, 1)
+        assert sum((-1) ** d * fvec[d] for d in range(5)) == 2
+        verts = qp._vertices()
+        masks = [qp._tight_mask(v) for v in verts]
+        cons = qp._constraints()
+        for tight, members, basis in faces:
+            assert tight == functools.reduce(operator.and_, (masks[i] for i in members))
+            assert members == tuple(i for i, m in enumerate(masks) if m & tight == tight)
+            # the basis spans the solutions of the tight constraints
+            tight_rows = [cons[k][0] for k in range(len(cons)) if tight >> k & 1]
+            assert len(basis) == 5 - rank(tight_rows) == rank(basis)
+            for a in tight_rows:
+                assert all(sum(ai * ui for ai, ui in zip(a, u)) == 0 for u in basis)
+        # the faces are the closures of the 1024 constraint sets: the AND of
+        # the masks of the vertices where the set is tight, if there are any
+        closures = set()
+        for s in range(1 << len(cons)):
+            sat = [m for m in masks if m & s == s]
+            if sat:
+                closures.add(functools.reduce(operator.and_, sat))
+        assert closures == {tight for tight, _, _ in faces}
+
+    def test_flat_ridge_maximum_from_lower_face(self):
+        # -(x0 + x1 - 1)^2 is maximal on the facet x0 + x1 = 1, where the
+        # reduced Hessian is singular, so a lower face has to carry it
+        quad = [[Fr(0)] * 5 for _ in range(5)]
+        for i in (0, 1):
+            for j in (0, 1):
+                quad[i][j] = Fr(-1)
+        lin = [Fr(2), Fr(2), Fr(0), Fr(0), Fr(0)]
+        facet = next(f for f in qp._faces() if f[0] == 1)
+        assert len(facet[2]) == 4
+        h = [[sum(u[i] * quad[i][j] * w[j] for i in range(5) for j in range(5))
+              for w in facet[2]] for u in facet[2]]
+        assert not qp._negative_definite(h)
+        value, x, _ = qp._exact_max(quad, lin, Fr(-1))
+        assert value == 0
+        assert x[0] + x[1] == 1
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_centroid_of_face_is_certified(self, dim):
+        verts = qp._vertices()
+        _, members, _ = next(f for f in qp._faces() if len(f[2]) == dim)
+        p = tuple(sum(verts[i][k] for i in members) / len(members) for k in range(5))
+        quad = [[Fr(-int(i == j)) for j in range(5)] for i in range(5)]
+        lin = [2 * v for v in p]
+        value, x, _ = qp._exact_max(quad, lin, -sum(v * v for v in p))
+        assert (value, x) == (0, p)
+
+
+class TestLattice:
+    def test_nested_loops_match_filtered_product(self):
+        levels = [k / 10 for k in range(11)]
+        filtered = [
+            x for x in itertools.product(levels, repeat=5)
+            if qp._feasible_float(x, slack=0.0)
+        ]
+        assert len(filtered) == 21031
+        assert qp._lattice() == filtered
 
 
 class TestSymmetry:

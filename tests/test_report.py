@@ -60,6 +60,15 @@ class TestReferenceTable:
         with pytest.raises(ValueError):
             ReportRow(3, 3, Fr(1, 10), Fr(1, 4), Fr(1, 4), "Table1")
 
+    @pytest.mark.parametrize("delta", [Fr(0), Fr(1), Fr(2), Fr(-1, 10)])
+    def test_delta_outside_unit_interval_rejected(self, delta):
+        with pytest.raises(ValueError, match="outside"):
+            reference_table(deltas=[delta])
+        with pytest.raises(ValueError, match="outside"):
+            reference_table(single_cliques=[(5, delta)])
+        with pytest.raises(ValueError, match="outside"):
+            bound_gap_report([delta])
+
 
 class TestBoundGapReport:
     def test_gap_is_exact_quadratic(self):
