@@ -19,6 +19,9 @@ from .graphs import (
     Graph,
     VertexPartition,
     _check_order,
+    _clique_engine,
+    _complement_rows,
+    bit_indices,
     independence_number,
 )
 from .report import bounds_36
@@ -335,7 +338,13 @@ def kkl_36(params: KklParams) -> KklConstruction:
     x6_base = 5 * q
     h = params.clone_block
 
-    alpha2, witness = independence_number(f2.graph)
+    # the blocks come from this exact engine's witness on the core, so the
+    # output does not depend on which maximum independent set the modular
+    # decomposition of independence_number would return
+    alpha2, core_mask = _clique_engine(
+        _complement_rows(f2.graph.adj), (1 << params.m2) - 1, 0, None
+    )
+    witness = tuple(bit_indices(core_mask))
     if alpha2 != params.d2:
         raise ConstructionError(
             f"core independence {alpha2} differs from d2={params.d2}"

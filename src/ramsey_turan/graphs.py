@@ -2,9 +2,15 @@
 
 Graphs are stored as bitset adjacency rows (one Python int per vertex), which
 keeps adjacency tests and neighborhood intersections O(1) word operations up
-to the 4096-vertex cap.  All solvers here are exact: clique and independence
-queries run a branch-and-bound with a greedy-coloring bound, so an "absent"
-answer is a completed search, not a heuristic.
+to the 4096-vertex cap.  All solvers here are exact, so an "absent" answer is
+a completed search, not a heuristic.  Clique and independence queries first
+walk the modular decomposition of the graph (``_omega``): components,
+co-components and the maximal strong modules reduce the blow-up
+constructions to small prime quotients.  Those are solved by a
+branch-and-bound with a greedy-coloring bound (``_clique_engine``, or
+``_weighted_clique`` when modules carry weights).  Both the decomposition
+walk and the searches keep their state on explicit stacks, so deep inputs
+never hit the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -105,8 +111,7 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph(self.n, [full & ~row & ~(1 << v) for v, row in enumerate(self.adj)])
+        return Graph(self.n, _complement_rows(self.adj))
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph on ``vertices``, relabeled 0.. in the given order."""
@@ -267,13 +272,17 @@ def _clique_engine(
     set the search returns as soon as a clique of that size is found, which
     turns the engine into an exact "is there a K_p" decision procedure.
     Returns (best size, best clique bitset); best size == lower means the
-    completed search found nothing larger.
+    completed search found nothing larger.  The search keeps its branches on
+    an explicit stack, so its depth is not bounded by the interpreter's.
     """
     best_size = lower
     best_mask = 0
-
-    def expand(r_size: int, r_mask: int, cands: int) -> bool:
-        nonlocal best_size, best_mask
+    if not start:
+        return best_size, best_mask
+    stack = []
+    r_size, r_mask, cands = 0, 0, start
+    while True:
+        # greedy coloring of the candidates: bounds[i] colors cover order[:i+1]
         order: list[int] = []
         bounds: list[int] = []
         uncolored = cands
@@ -288,33 +297,365 @@ def _clique_engine(
                 queue = (queue ^ bit) & ~adj[v]
                 order.append(v)
                 bounds.append(color)
-        for i in range(len(order) - 1, -1, -1):
-            if r_size + bounds[i] <= best_size:
-                return False
+        i = len(order) - 1
+        while True:
+            if i < 0 or r_size + bounds[i] <= best_size:
+                if not stack:
+                    return best_size, best_mask
+                r_size, r_mask, cands, order, bounds, i = stack.pop()
+                continue
             v = order[i]
             bit = 1 << v
             new_cands = cands & adj[v]
+            cands ^= bit
+            i -= 1
             if new_cands:
-                if expand(r_size + 1, r_mask | bit, new_cands):
-                    return True
-            elif r_size + 1 > best_size:
+                stack.append((r_size, r_mask, cands, order, bounds, i))
+                r_size += 1
+                r_mask |= bit
+                cands = new_cands
+                break
+            if r_size + 1 > best_size:
                 best_size = r_size + 1
                 best_mask = r_mask | bit
                 if stop_at is not None and best_size >= stop_at:
-                    return True
-            cands ^= bit
-        return False
+                    return best_size, best_mask
 
-    if start:
-        expand(0, 0, start)
-    return best_size, best_mask
+
+def _weighted_clique(
+    adj: Sequence[int], weights: Sequence[int], stop_at: int | None
+) -> tuple[int, int]:
+    """Maximum-weight clique over all vertices of ``adj`` (positive weights).
+
+    Branch and bound in the style of Ostergard (2002): the candidates are
+    colored greedily and a branch is pruned when its weight plus the sum,
+    over the color classes left, of the largest weight in each class cannot
+    beat the best clique.  ``stop_at`` and the result are as in
+    ``_clique_engine``; callers list heavier vertices first, so each class
+    opens with its largest weight.
+    """
+    best_weight = 0
+    best_mask = 0
+    stack = []
+    r_weight, r_mask, cands = 0, 0, (1 << len(adj)) - 1
+    while True:
+        order: list[int] = []
+        bounds: list[int] = []
+        uncolored = cands
+        total = 0
+        while uncolored:
+            queue = uncolored
+            top = size = 0
+            while queue:
+                v = (queue & -queue).bit_length() - 1
+                bit = 1 << v
+                uncolored ^= bit
+                queue = (queue ^ bit) & ~adj[v]
+                order.append(v)
+                if weights[v] > top:
+                    top = weights[v]
+                size += 1
+            total += top
+            bounds.extend([total] * size)
+        i = len(order) - 1
+        while True:
+            if i < 0 or r_weight + bounds[i] <= best_weight:
+                if not stack:
+                    return best_weight, best_mask
+                r_weight, r_mask, cands, order, bounds, i = stack.pop()
+                continue
+            v = order[i]
+            bit = 1 << v
+            new_cands = cands & adj[v]
+            cands ^= bit
+            i -= 1
+            if new_cands:
+                stack.append((r_weight, r_mask, cands, order, bounds, i))
+                r_weight += weights[v]
+                r_mask |= bit
+                cands = new_cands
+                break
+            if r_weight + weights[v] > best_weight:
+                best_weight = r_weight + weights[v]
+                best_mask = r_mask | bit
+                if stop_at is not None and best_weight >= stop_at:
+                    return best_weight, best_mask
+
+
+def _component(adj: Sequence[int], S: int, seed: int) -> int:
+    """Vertices of G[S] reachable from the bitset ``seed``."""
+    comp = frontier = seed
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & S & ~comp
+        comp |= frontier
+    return comp
+
+
+def _co_component(adj: Sequence[int], S: int, seed: int) -> int:
+    """Vertices of the complement of G[S] reachable from the bitset ``seed``."""
+    comp = frontier = seed
+    rest = S & ~seed
+    while frontier and rest:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= rest & ~adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach
+        rest ^= reach
+        comp |= reach
+    return comp
+
+
+def _edgeless(adj: Sequence[int], S: int) -> bool:
+    """True when no two vertices of ``S`` are adjacent."""
+    rest = S
+    while rest:
+        low = rest & -rest
+        if adj[low.bit_length() - 1] & S:
+            return False
+        rest ^= low
+    return True
+
+
+def _quotient_rows(adj: Sequence[int], reps: Sequence[int]) -> list[int]:
+    """Rows of the graph induced on the vertex bits ``reps``, relabeled
+    0.. in list order."""
+    index = {rep: j for j, rep in enumerate(reps)}
+    rep_mask = sum(reps)
+    rows = []
+    for rep in reps:
+        row = adj[rep.bit_length() - 1] & rep_mask
+        qrow = 0
+        while row:
+            low = row & -row
+            qrow |= 1 << index[low]
+            row ^= low
+        rows.append(qrow)
+    return rows
+
+
+def _strong_modules(adj: Sequence[int], S: int) -> list[int]:
+    """Maximal strong modules of G[S] when G[S] and its complement are connected.
+
+    The maximal modules avoiding v (the lowest vertex) come from partition
+    refinement: start from v's neighbors and non-neighbors in S, and split a
+    part by the row of any vertex outside it that sees some but not all of
+    it.  Every module avoiding v stays inside one part, and each final part
+    is a module, so the parts are those maximal modules.  A vertex that
+    splits a half of a split part splits the part or lies in the other half,
+    so each part carries that superset of its splitters and is tested against
+    it or against its own rows, whichever is smaller.
+
+    The strong module of v is v plus the parts whose module closure with it,
+    in the quotient Q on {v} + parts, stays proper.  A set holding v is a
+    module iff it holds every w that distinguishes v from one of its members,
+    so the closure of a module C plus part j is C plus what j reaches along
+    "w distinguishes v from u" arcs.  When that is all of Q, every part that
+    reaches j is outside the module of v too.  The parts left over are the
+    other maximal strong modules; the module of v comes first.
+    """
+    vbit = S & -S
+    rest = S ^ vbit
+    near = rest & adj[vbit.bit_length() - 1]
+    far = rest ^ near
+    work = [(part, other) for part, other in ((near, far), (far, near)) if part]
+    parts = []
+    while work:
+        part, cand = work.pop()
+        if not part & (part - 1):
+            parts.append(part)
+            continue
+        split = 0
+        if cand.bit_count() < part.bit_count():
+            while cand:
+                low = cand & -cand
+                seen = adj[low.bit_length() - 1] & part
+                if seen and seen != part:
+                    split |= low
+                cand ^= low
+        else:
+            some, every = 0, -1
+            left = part
+            while left:
+                low = left & -left
+                row = adj[low.bit_length() - 1]
+                some |= row
+                every &= row
+                left ^= low
+            split = some & ~every & S & ~part
+        if split:
+            half = part & adj[(split & -split).bit_length() - 1]
+            other = part ^ half
+            work += ((half, split | other), (other, split | half))
+        else:
+            parts.append(part)
+
+    # Q is G induced on v plus the lowest vertex of each part
+    whole = vbit
+    part_of = {}
+    for part in parts:
+        rep = part & -part
+        part_of[rep] = part
+        whole |= rep
+    row_v = adj[vbit.bit_length() - 1]
+    mod = vbit
+    outside = 0
+    for rep in part_of:
+        if (mod | outside) & rep:
+            continue
+        # forward: the vertices that distinguish v from a reached one
+        grown = frontier = rep
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1] ^ row_v
+                frontier ^= low
+            frontier = reach & whole & ~grown & ~mod
+            grown |= frontier
+        if grown | mod != whole:
+            mod |= grown
+            continue
+        # backward: the vertices from which one already outside is reached
+        frontier = rep
+        while frontier:
+            outside |= frontier
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                row = adj[low.bit_length() - 1]
+                reach |= ~row if row & vbit else row
+                frontier ^= low
+            frontier = reach & whole & ~outside & ~vbit
+    module_of_v = vbit
+    others = []
+    for rep, part in part_of.items():
+        if mod & rep:
+            module_of_v |= part
+        else:
+            others.append(part)
+    return [module_of_v] + others
+
+
+def _omega(adj: Sequence[int], S: int, stop_at: int | None) -> tuple[int, int]:
+    """Maximum clique of G[S] through the modular decomposition of G[S].
+
+    Exact node rules (Gallai 1967): when G[S] is disconnected (parallel
+    node), omega is the largest over its components; when its complement is
+    disconnected (series node), omega is the sum over the co-components and
+    the witness is the union of theirs; otherwise (prime node) omega is the
+    maximum-weight clique of the quotient on the maximal strong modules, each
+    weighted by its own omega, solved by ``_clique_engine`` for unit weights
+    and ``_weighted_clique`` otherwise.  ``stop_at`` behaves as in
+    ``_clique_engine``: once a clique of that size is found it is returned,
+    otherwise the result is exact.  The decomposition tree is walked with an
+    explicit stack of node generators, and the witness is re-checked.
+    """
+    stack = [_omega_node(adj, S, stop_at)]
+    result = None
+    while stack:
+        try:
+            request = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(_omega_node(adj, *request))
+            result = None
+    size, mask = result
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if (adj[low.bit_length() - 1] | low) & mask != mask:
+            raise RuntimeError("modular decomposition produced a non-clique witness")
+        rest ^= low
+    if mask.bit_count() != size:
+        raise RuntimeError("modular decomposition witness size mismatch")
+    return size, mask
+
+
+def _omega_node(adj: Sequence[int], S: int, stop_at: int | None):
+    """One node of ``_omega``: yields (child set, child stop_at) requests,
+    receives each child's (size, mask) and returns its own."""
+    low = S & -S
+    if S == low:
+        return (1, S) if S else (0, 0)
+
+    comp = _component(adj, S, low)
+    if comp != S:
+        comps = [comp]
+        rest = S ^ comp
+        while rest:
+            comp = _component(adj, rest, rest & -rest)
+            comps.append(comp)
+            rest ^= comp
+        comps.sort(key=int.bit_count, reverse=True)
+        best = (0, 0)
+        for comp in comps:
+            if comp.bit_count() <= best[0]:
+                break
+            found = yield comp, stop_at
+            if found[0] > best[0]:
+                best = found
+                if stop_at is not None and best[0] >= stop_at:
+                    break
+        return best
+
+    comp = _co_component(adj, S, low)
+    if comp != S:
+        size, mask = 0, 0
+        rest = S
+        while rest:
+            comp = _co_component(adj, rest, rest & -rest)
+            rest ^= comp
+            if _edgeless(adj, comp):
+                found = (1, comp & -comp)
+            else:
+                found = yield comp, None if stop_at is None else stop_at - size
+            size += found[0]
+            mask |= found[1]
+            if stop_at is not None and size >= stop_at:
+                break
+        return size, mask
+
+    weights, witnesses = [], []
+    for module in _strong_modules(adj, S):
+        if _edgeless(adj, module):
+            found = (1, module & -module)
+        else:
+            found = yield module, stop_at
+        if stop_at is not None and found[0] >= stop_at:
+            return found
+        weights.append(found[0])
+        witnesses.append(found[1])
+    if max(weights) == 1:
+        # every module is edgeless and its witness is one of its vertices, so
+        # G on the witnesses is the quotient and its cliques lift as they are
+        return _clique_engine(adj, sum(witnesses), 0, stop_at)
+    # heaviest modules first, so each greedy color class opens with its maximum
+    # (a vertex of a module's witness stands for the whole module)
+    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
+    qrows = _quotient_rows(adj, [witnesses[j] & -witnesses[j] for j in order])
+    size, qmask = _weighted_clique(qrows, [weights[j] for j in order], stop_at)
+    mask = 0
+    while qmask:
+        bit = qmask & -qmask
+        mask |= witnesses[order[bit.bit_length() - 1]]
+        qmask ^= bit
+    return size, mask
 
 
 def find_clique(g: Graph, p: int) -> tuple[int, ...] | None:
     """Exact search for a clique of size ``p``; None is a proof of absence."""
     if p < 1 or p > g.n:
         raise ValueError(f"clique size {p} outside [1, {g.n}]")
-    size, mask = _clique_engine(g.adj, (1 << g.n) - 1, p - 1, p)
+    size, mask = _omega(g.adj, (1 << g.n) - 1, p)
     if size < p:
         return None
     return tuple(bit_indices(mask))[:p]
@@ -322,17 +663,20 @@ def find_clique(g: Graph, p: int) -> tuple[int, ...] | None:
 
 def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact clique number with a witness clique (empty graph gives 0)."""
-    size, mask = _clique_engine(g.adj, (1 << g.n) - 1, 0, None)
+    size, mask = _omega(g.adj, (1 << g.n) - 1, None)
     return size, tuple(bit_indices(mask))
+
+
+def _complement_rows(adj: Sequence[int]) -> list[int]:
+    full = (1 << len(adj)) - 1
+    return [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
 
 
 def independence_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact independence number via max clique on the complement."""
     if g.n == 0:
         raise ValueError("independence number of the empty graph is undefined")
-    full = (1 << g.n) - 1
-    comp = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
-    size, mask = _clique_engine(comp, full, 0, None)
+    size, mask = _omega(_complement_rows(g.adj), (1 << g.n) - 1, None)
     return size, tuple(bit_indices(mask))
 
 

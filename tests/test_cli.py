@@ -253,6 +253,21 @@ class TestCliContract:
         doc = json.loads(out)
         assert doc["n"] == 80 and len(doc["edges"]) == 1600
 
+    def test_witness_of_deep_input(self, capsys, tmp_path):
+        # alpha of 1200 isolated vertices is a clique of depth 1200 in the
+        # complement
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({"n": 1200, "edges": []}))
+        code = cli_dispatch(["verify", "witness", "--p", "3", "--q", "3", "--m", "5",
+                             "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        doc = json.loads(captured.out)
+        alpha = [row for row in doc["checks"] if row["name"] == "alpha"]
+        assert alpha == [{"bound": 5, "measured": 1200, "name": "alpha", "verdict": "fail"}]
+        assert len(doc["witness"]) == 1200
+
 
 def _dispatch_quietly(argv) -> int:
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):

@@ -11,6 +11,8 @@ from ramsey_turan import (
     RuleVariant,
     andrasfai,
     blowup,
+    check_colored_free,
+    check_rt_witness,
     clique_number,
     construction_37,
     f_graph,
@@ -212,6 +214,41 @@ class TestKkl36:
             KklParams(n=61, d1=4, m2=4, d2=2)
         with pytest.raises(ValueError):
             KklParams(n=60, d1=4, m2=10, d2=2)
+
+
+class TestTallRungs:
+    """The largest sizes of the construction ladder, certified exactly."""
+
+    def test_kkl_480_witness(self):
+        built = kkl_36(KklParams(n=480, d1=32, m2=32, d2=16))
+        assert built.stats["alpha"] == 40
+        cert = check_rt_witness(built.colored_graph, 3, 6, 40)
+        assert cert.passed
+        assert {row.name: row.measured for row in cert.checks} == {
+            "color1_max_clique": 2,
+            "color2_max_clique": 5,
+            "alpha": 40,
+        }
+
+    def test_c37_320_free(self):
+        cg, _ = construction_37(320, 14)
+        cert = check_colored_free(cg, 3, 7)
+        assert cert.passed
+        assert {row.name: row.measured for row in cert.checks} == {
+            "color1_max_clique": 2,
+            "color2_max_clique": 6,
+        }
+
+    @pytest.mark.parametrize("variant", list(RuleVariant))
+    def test_i_sets_pinned(self, variant):
+        # the blocks are cut from the core's independent set, so a different
+        # (equally maximum) one would change the construction
+        assert kkl_36(KklParams(60, 4, 4, 2, variant)).stats["i_sets"] == (
+            (52,), (53,), (54,), (55,), (56,),
+        )
+        assert kkl_36(KklParams(120, 8, 8, 4, variant)).stats["i_sets"] == (
+            (104, 105), (106, 107), (108, 109), (110, 111), (112, 113),
+        )
 
 
 class TestConstruction37:

@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,6 +21,7 @@ from ramsey_turan import (
     turan,
     turan_partition,
 )
+from ramsey_turan.graphs import _clique_engine, _omega, bit_indices
 from ramsey_turan.search import enumerate_canonical_graphs, graph_from_canonical
 
 from .conftest import (
@@ -149,6 +152,126 @@ class TestIndependence:
         for seed in range(30):
             g = random_graph(8, 0.4, seed)
             assert independence_number(g)[0] == naive_independence(g)
+
+
+def substitution_graph(rng: random.Random, depth: int) -> Graph:
+    """Random graphs substituted into the vertices of a random quotient,
+    ``depth`` levels deep; random quotients make prime, series and parallel
+    nodes all occur."""
+    if depth == 0 or rng.random() < 0.2:
+        return random_graph(rng.randint(1, 4), rng.random(), rng.randrange(10**6))
+    quotient = random_graph(rng.randint(2, 5), rng.random(), rng.randrange(10**6))
+    kids = [substitution_graph(rng, depth - 1) for _ in range(quotient.n)]
+    offsets = [sum(kid.n for kid in kids[:i]) for i in range(len(kids))]
+    edges = [
+        (off + u, off + v) for kid, off in zip(kids, offsets) for u, v in kid.edges()
+    ]
+    for a, b in quotient.edges():
+        edges += [
+            (offsets[a] + u, offsets[b] + v)
+            for u in range(kids[a].n)
+            for v in range(kids[b].n)
+        ]
+    return Graph.from_edges(sum(kid.n for kid in kids), edges)
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = rng.sample(range(g.n), g.n)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def kernel_cases(seed: int):
+    rng = random.Random(seed)
+    for _ in range(240):
+        g = substitution_graph(rng, rng.randint(1, 4))
+        if g.n <= 60:
+            yield relabelled(g, rng), rng
+    for _ in range(60):
+        g = random_graph(rng.randint(1, 30), rng.random(), rng.randrange(10**6))
+        yield relabelled(g, rng), rng
+
+
+class TestOmegaKernel:
+    """The modular-decomposition kernel against the plain branch and bound,
+    on relabelled substitution graphs and G(n, p)."""
+
+    def test_matches_engine_with_rechecked_witnesses(self):
+        for g, rng in kernel_cases(2024):
+            full = (1 << g.n) - 1
+            omega, clique = clique_number(g)
+            alpha, independent = independence_number(g)
+            assert omega == _clique_engine(g.adj, full, 0, None)[0]
+            assert alpha == _clique_engine(g.complement().adj, full, 0, None)[0]
+            assert len(clique) == omega and len(independent) == alpha
+            assert_clique(g, clique)
+            assert_independent(g, independent)
+            # a decision query stops at its target and is exact below it
+            stop_at = rng.randint(1, omega + 1)
+            size, mask = _omega(g.adj, full, stop_at)
+            assert size == mask.bit_count()
+            assert_clique(g, tuple(bit_indices(mask)))
+            assert size == omega if omega < stop_at else stop_at <= size <= omega
+            found = find_clique(g, stop_at) if stop_at <= g.n else None
+            assert (found is None) == (omega < stop_at)
+            if found is not None:
+                assert len(found) == stop_at
+                assert_clique(g, found)
+
+
+def call_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def with_shallow_stack(fn, *args):
+    """Run ``fn`` with only 100 interpreter frames to spare."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(call_depth() + 100)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def alternating_threshold(n: int) -> Graph:
+    """Each odd vertex joins every earlier vertex; the even ones stay isolated
+    when added, so the decomposition tree has depth n."""
+    return Graph.from_edges(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
+
+
+class TestDeepInputs:
+    def test_thin_spider_clique(self):
+        k = 400
+        edges = [(u, v) for v in range(k) for u in range(v)]
+        edges += [(v, k + v) for v in range(k)]
+        g = Graph.from_edges(2 * k, edges)
+        size, witness = with_shallow_stack(clique_number, g)
+        assert size == k and witness == tuple(range(k))
+
+    def test_alternating_threshold_independence(self):
+        g = alternating_threshold(400)
+        size, witness = with_shallow_stack(independence_number, g)
+        assert size == 200
+        assert_independent(g, witness)
+
+
+class TestDecisionQueries:
+    @pytest.mark.parametrize("joined", [False, True], ids=["isolated", "dominating"])
+    def test_triangle_found_at_once(self, joined):
+        # G(150, 0.9) plus one vertex: the root is a parallel node when the
+        # vertex is isolated and a series node when it sees every vertex
+        dense = random_graph(150, 0.9, 1)
+        extra = [(v, 150) for v in range(150)] if joined else []
+        g = Graph.from_edges(151, list(dense.edges()) + extra)
+        start = time.perf_counter()
+        found = find_clique(g, 3)
+        elapsed = time.perf_counter() - start
+        assert found is not None and len(found) == 3
+        assert_clique(g, found)
+        assert elapsed < 1.0
 
 
 class TestMinCrossingDegree:
