@@ -19,6 +19,8 @@ from .graphs import (
     ColoredGraph,
     Graph,
     VertexPartition,
+    _complement_rows,
+    _omega,
     bit_indices,
     clique_number,
     independence_number,
@@ -136,11 +138,23 @@ def edge_formula_check(cg: ColoredGraph, formula: str, delta, tol) -> Certificat
     return _finish(checks, None, params)
 
 
-_K5_EDGES = list(combinations(range(5), 2))
-_K5_TRIANGLES = [
-    [(min(a, b), max(a, b)) for a, b in combinations(tri, 2)]
-    for tri in combinations(range(5), 3)
-]
+def _triangle_free_colorings(n: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """K_n's edges and its 2-colorings with no monochromatic triangle.
+
+    A coloring is a mask over the edge list: bit i set puts edge i in color 1.
+    """
+    edges = list(combinations(range(n), 2))
+    edge_index = {e: i for i, e in enumerate(edges)}
+    tri_masks = [
+        sum(1 << edge_index[e] for e in combinations(tri, 2))
+        for tri in combinations(range(n), 3)
+    ]
+    survivors = [
+        mask
+        for mask in range(1 << len(edges))
+        if not any(mask & tm == tm or mask & tm == 0 for tm in tri_masks)
+    ]
+    return edges, survivors
 
 
 def pentagonlike_census() -> tuple[int, bool]:
@@ -149,44 +163,21 @@ def pentagonlike_census() -> tuple[int, bool]:
     Returns the number with no monochromatic triangle and whether every
     survivor has both color classes isomorphic to the 5-cycle.
     """
-    edge_index = {e: i for i, e in enumerate(_K5_EDGES)}
-    tri_masks = [
-        sum(1 << edge_index[e] for e in tri) for tri in _K5_TRIANGLES
-    ]
-    survivors = 0
-    all_pentagon = True
-    for mask in range(1 << 10):
-        if any(
-            mask & tm == tm or mask & tm == 0 for tm in tri_masks
-        ):
-            continue
-        survivors += 1
-        for want in (mask, ((1 << 10) - 1) ^ mask):
-            cls = Graph.from_edges(
-                5, [e for e, i in edge_index.items() if (want >> i) & 1]
-            )
-            if not _is_five_cycle(cls):
-                all_pentagon = False
-    return survivors, all_pentagon
+    edges, survivors = _triangle_free_colorings(5)
+    full = (1 << len(edges)) - 1
+    all_pentagon = all(
+        _is_five_cycle(
+            Graph.from_edges(5, [e for i, e in enumerate(edges) if (want >> i) & 1])
+        )
+        for mask in survivors
+        for want in (mask, full ^ mask)
+    )
+    return len(survivors), all_pentagon
 
 
 def mono_triangle_free_count(n: int) -> int:
     """Number of 2-colorings of E(K_n) with no monochromatic triangle."""
-    edges = list(combinations(range(n), 2))
-    edge_index = {e: i for i, e in enumerate(edges)}
-    tri_masks = []
-    for tri in combinations(range(n), 3):
-        tri_masks.append(
-            sum(
-                1 << edge_index[(min(a, b), max(a, b))]
-                for a, b in combinations(tri, 2)
-            )
-        )
-    count = 0
-    for mask in range(1 << len(edges)):
-        if not any(mask & tm == tm or mask & tm == 0 for tm in tri_masks):
-            count += 1
-    return count
+    return len(_triangle_free_colorings(n)[1])
 
 
 def _ceil_sqrt_fraction(value: Fraction) -> int:
@@ -199,10 +190,9 @@ def _ceil_sqrt_fraction(value: Fraction) -> int:
     return b
 
 
-def _alpha_in(g: Graph, vertices: tuple[int, ...]) -> int:
-    if not vertices:
-        return 0
-    return independence_number(g.induced(vertices))[0]
+def _alpha_in(g: Graph, mask: int) -> int:
+    """Independence number of G[mask] (0 for the empty set)."""
+    return _omega(_complement_rows(g.adj), mask, None)[0]
 
 
 class IndependenceCapError(ValueError):
@@ -246,17 +236,10 @@ def bipartition_indep_search(
     g1 = cg.color_class(1)
     g2 = cg.color_class(2)
     evaluations = 0
+    full = (1 << n) - 1
 
-    def split_ok(mask: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        nonlocal evaluations
-        v1 = tuple(bit_indices(mask))
-        v2 = tuple(bit_indices(((1 << n) - 1) ^ mask))
-        evaluations += 1
-        if _alpha_in(g1, v1) > bound:
-            return None
-        if _alpha_in(g2, v2) > bound:
-            return None
-        return v1, v2
+    def pair(mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return tuple(bit_indices(mask)), tuple(bit_indices(full ^ mask))
 
     if n <= 20:
         complete = True
@@ -264,9 +247,9 @@ def bipartition_indep_search(
             if evaluations >= budget:
                 complete = False
                 break
-            pair = split_ok(mask)
-            if pair is not None:
-                return BipartitionSearchResult(pair, True, evaluations, bound)
+            evaluations += 1
+            if _alpha_in(g1, mask) <= bound and _alpha_in(g2, full ^ mask) <= bound:
+                return BipartitionSearchResult(pair(mask), True, evaluations, bound)
         return BipartitionSearchResult(None, complete, evaluations, bound)
 
     rng = random.Random(seed)
@@ -275,17 +258,13 @@ def bipartition_indep_search(
     def cost(m: int) -> int:
         nonlocal evaluations
         evaluations += 1
-        v1 = tuple(bit_indices(m))
-        v2 = tuple(bit_indices(((1 << n) - 1) ^ m))
-        return max(0, _alpha_in(g1, v1) - bound) + max(0, _alpha_in(g2, v2) - bound)
+        return max(0, _alpha_in(g1, m) - bound) + max(0, _alpha_in(g2, full ^ m) - bound)
 
     current = cost(mask)
     temp = 2.0
     while evaluations < budget:
         if current == 0:
-            v1 = tuple(bit_indices(mask))
-            v2 = tuple(bit_indices(((1 << n) - 1) ^ mask))
-            return BipartitionSearchResult((v1, v2), False, evaluations, bound)
+            return BipartitionSearchResult(pair(mask), False, evaluations, bound)
         flip = 1 << rng.randrange(n)
         cand = mask ^ flip
         cand_cost = cost(cand)
@@ -318,10 +297,22 @@ def audit_partition(
 ) -> Certificate:
     """Audit the eight structural properties of a six-part partition.
 
-    All parts are tried in the distinguished sixth role and all orderings of
-    the remaining five in the cyclic roles; the best-scoring assignment is
-    reported.  The third property is evaluated both as printed (for every
-    cyclic index) and in the weaker exists-an-index reading.
+    Each part is tried in the distinguished sixth role with each cyclic order
+    of the remaining five in the cyclic roles, and the best-scoring
+    assignment is reported.  The third property is evaluated both as printed
+    (for every cyclic index) and in the weaker exists-an-index reading.
+
+    No row tells apart the ten listings of one cyclic order (its rotations
+    and reflections): P3 and P3_exists compare roles i and i+2, P4 roles i
+    and i+1, P8_deg1_far pairs each role with those at cyclic distance 2 and
+    P8_deg2_near with those at distance 1, and rotating or reflecting the
+    cycle only permutes these pairs; P2, P7 and P8_alpha depend only on which
+    part is sixth, and P1, P5 and P6 on no role at all.  So for each sixth
+    part only the 12 listings that start with the least other part and whose
+    second entry is below their last are measured, 72 assignments in all.
+    That listing is the lexicographically least of its class, and the
+    tie-break key ends in ``(x6, roles)``, so it is the one that scoring all
+    720 listings would report.
     """
     if part.p != 6:
         raise ValueError(f"audit needs exactly 6 parts, got {part.p}")
@@ -335,16 +326,28 @@ def audit_partition(
     masks = part.masks
 
     deg1 = [[(g1.adj[v] & m).bit_count() for m in masks] for v in range(n)]
-    deg2 = [[(g2.adj[v] & m).bit_count() for m in masks] for v in range(n)]
-    alpha1 = [_alpha_in(g1, p) for p in part.parts]
-    alpha2 = [_alpha_in(g2, p) for p in part.parts]
+    # miss[i][j]: most vertices of part j that one vertex of part i is not
+    # joined to in that color class (0 when part i is empty)
+    miss1, miss2 = (
+        [
+            [
+                max((s - (adj[v] & m).bit_count() for v in p), default=0)
+                for m, s in zip(masks, sizes)
+            ]
+            for p in part.parts
+        ]
+        for adj in (g1.adj, g2.adj)
+    )
+    alpha1 = [_alpha_in(g1, m) for m in masks]
+    alpha2 = [_alpha_in(g2, m) for m in masks]
     inner_delta = [
         max(((g.adj[v] & masks[j]).bit_count() for v in part.parts[j]), default=0)
         for j in range(6)
     ]
     dcr = min_crossing_degree(g, part)
 
-    # row -> (c, k): the row passes iff measured <= c * gamma**(1/k) * n
+    # row -> (c, k): the row passes iff measured <= c * gamma**(1/k) * n,
+    # that is iff measured <= 0 or measured**k <= (c * n)**k * gamma
     exps = {
         "P1": (2, 4),
         "P2": (1, 4),
@@ -359,106 +362,77 @@ def audit_partition(
         "P8_deg2_near": (1, 119),
     }
     gamma = Fraction(cfg.gamma)
-    # displayed bounds only; verdicts are decided exactly in verdicts()
+    limit = {name: (c * n) ** k * gamma for name, (c, k) in exps.items()}
+    # displayed bounds only; every verdict compares exactly against limit
     bound_for = {
         name: c * (float(gamma) ** (1 / k) * n) for name, (c, k) in exps.items()
     }
 
-    target = Fraction(n, 6)
-    # P1, P5 and P6 do not depend on the role assignment
-    p1 = max(abs(Fraction(s) - target) for s in sizes)
-    p5 = max(inner_delta)
-    p6 = target - dcr
-
-    def measures(x6: int, roles: tuple[int, ...]):
-        """Deficiency-style measurements for one role assignment.
-
-        roles[i] is the original part index playing cyclic role i (0-based);
-        every measurement is compared upward against its threshold.
-        """
-        p2 = alpha1[x6]
-        x6_vertices = part.parts[x6]
-        p3_all = 0
-        p3_exists = 0
-        p4 = 0
-        for v in x6_vertices:
-            row = deg1[v]
-            mins = [
-                min(row[roles[i]], row[roles[(i + 2) % 5]]) for i in range(5)
-            ]
-            p3_all = max(p3_all, max(mins))
-            p3_exists = max(p3_exists, min(mins))
-            p4 = max(
-                p4,
-                min(row[roles[i]] + row[roles[(i + 1) % 5]] for i in range(5)),
-            )
-        p7 = 0
-        p8a = 0
-        p8b = 0
-        p8c = 0
-        for i in range(5):
-            pi = roles[i]
-            p8a = max(p8a, alpha2[pi])
-            far = (roles[(i + 2) % 5], roles[(i + 3) % 5])
-            near = (roles[(i + 1) % 5], roles[(i + 4) % 5])
-            for v in part.parts[pi]:
-                p7 = max(p7, sizes[x6] - deg2[v][x6])
-                for j in far:
-                    p8b = max(p8b, sizes[j] - deg1[v][j])
-                for j in near:
-                    p8c = max(p8c, sizes[j] - deg2[v][j])
+    def decide(rows: dict) -> dict:
         return {
-            "P1": p1,
-            "P2": p2,
-            "P3": p3_all,
-            "P3_exists": p3_exists,
-            "P4": p4,
-            "P5": p5,
-            "P6": p6,
-            "P7": p7,
-            "P8_alpha": p8a,
-            "P8_deg1_far": p8b,
-            "P8_deg2_near": p8c,
+            name: value <= 0 or Fraction(value) ** exps[name][1] <= limit[name]
+            for name, value in rows.items()
         }
 
-    decided: dict[tuple[str, object], bool] = {}
-
-    def verdicts(meas: dict) -> dict:
-        """Exact row verdicts, each computed once per distinct (row, value)."""
-        ok = {}
-        for name, value in meas.items():
-            key = (name, value)
-            if key not in decided:
-                c, k = exps[name]
-                decided[key] = value <= 0 or Fraction(value) ** k <= (c * n) ** k * gamma
-            ok[name] = decided[key]
-        return ok
+    target = Fraction(n, 6)
+    fixed = {
+        "P1": max(abs(Fraction(s) - target) for s in sizes),
+        "P5": max(inner_delta),
+        "P6": target - dcr,
+    }
+    fixed_ok = decide(fixed)
 
     best = None
     for x6 in range(6):
         rest = [i for i in range(6) if i != x6]
-        for roles in permutations(rest):
-            meas = measures(x6, roles)
-            ok = verdicts(meas)
-            score = sum(ok.values())
+        own = {
+            "P2": alpha1[x6],
+            "P7": max(miss2[i][x6] for i in rest),
+            "P8_alpha": max(alpha2[i] for i in rest),
+        }
+        own_ok = decide(own)
+        x6_rows = [deg1[v] for v in part.parts[x6]]
+        for tail in permutations(rest[1:]):
+            if tail[0] > tail[-1]:
+                continue
+            roles = (rest[0], *tail)
+            p3_all = p3_exists = p4 = 0
+            for row in x6_rows:
+                mins = [
+                    min(row[roles[i]], row[roles[(i + 2) % 5]]) for i in range(5)
+                ]
+                p3_all = max(p3_all, max(mins))
+                p3_exists = max(p3_exists, min(mins))
+                p4 = max(
+                    p4,
+                    min(row[roles[i]] + row[roles[(i + 1) % 5]] for i in range(5)),
+                )
+            cyclic = {
+                "P3": p3_all,
+                "P3_exists": p3_exists,
+                "P4": p4,
+                "P8_deg1_far": max(
+                    miss1[roles[i]][roles[(i + d) % 5]]
+                    for i in range(5)
+                    for d in (2, 3)
+                ),
+                "P8_deg2_near": max(
+                    miss2[roles[i]][roles[(i + d) % 5]]
+                    for i in range(5)
+                    for d in (1, 4)
+                ),
+            }
+            ok = {**fixed_ok, **own_ok, **decide(cyclic)}
             # prefer assignments that pass more properties, then the ones
             # whose role-defining measurements sit lowest
-            key = (
-                -score,
-                meas["P2"],
-                meas["P3"],
-                meas["P4"],
-                meas["P7"],
-                x6,
-                roles,
-            )
+            key = (-sum(ok.values()), own["P2"], p3_all, p4, own["P7"], x6, roles)
             if best is None or key < best[0]:
-                best = (key, x6, roles, meas, ok)
+                best = (key, x6, roles, {**fixed, **own, **cyclic}, ok)
     _, x6, roles, meas, ok = best
 
     checks = [
         CheckRow(name, meas[name], bound_for[name], _verdict(ok[name]))
-        for name in meas
+        for name in exps
     ]
     params = {
         "gamma": cfg.gamma,

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -28,7 +28,13 @@ from ramsey_turan import (
 )
 from ramsey_turan.search import enumerate_canonical_graphs, graph_from_canonical
 
-from .conftest import assert_clique, assert_independent, naive_has_clique, pentagon_pattern_t12
+from .conftest import (
+    assert_clique,
+    assert_independent,
+    naive_has_clique,
+    naive_independence,
+    pentagon_pattern_t12,
+)
 
 
 def all_one_coloring(g: Graph, c: int = 1) -> ColoredGraph:
@@ -284,6 +290,162 @@ class TestAuditPartition:
         for lo, hi in zip(results, results[1:]):
             for name in ("P1", "P3", "P4", "P5"):
                 assert not lo[name] or hi[name]
+
+
+AUDIT_GAMMAS = [
+    Fraction(1, 100),
+    Fraction(1, 10),
+    Fraction(1, 5),
+    Fraction(3, 10),
+    Fraction(1, 2),
+    Fraction(99, 100),
+]
+
+AUDIT_EXPS = {
+    "P1": (2, 4),
+    "P2": (1, 4),
+    "P3": (1, 59),
+    "P3_exists": (1, 59),
+    "P4": (1, 60),
+    "P5": (1, 117),
+    "P6": (1, 118),
+    "P7": (1, 119),
+    "P8_alpha": (1, 4),
+    "P8_deg1_far": (1, 119),
+    "P8_deg2_near": (1, 119),
+}
+
+
+def brute_audit_measures(cg: ColoredGraph, part: VertexPartition) -> tuple:
+    """Every row of all 720 role assignments, from the definitions, plus
+    the minimum crossing degree and the part sizes.
+
+    Independence numbers come from the subset oracle and degrees from
+    ``has_edge``; nothing here shares code with ``audit_partition``.
+    """
+    n = cg.n
+    g1, g2 = cg.color_class(1), cg.color_class(2)
+    parts = part.parts
+    sizes = [len(p) for p in parts]
+
+    def degrees(cls):
+        return [[sum(cls.has_edge(v, u) for u in p) for p in parts] for v in range(n)]
+
+    deg0, deg1, deg2 = degrees(cg.graph), degrees(g1), degrees(g2)
+    alpha1 = [naive_independence(g1.induced(p)) for p in parts]
+    alpha2 = [naive_independence(g2.induced(p)) for p in parts]
+    target = Fraction(n, 6)
+    p1 = max(abs(Fraction(s) - target) for s in sizes)
+    p5 = max(deg0[v][j] for j in range(6) for v in parts[j])
+    dcr = min(
+        (deg0[v][j] for i in range(6) for v in parts[i] for j in range(6) if j != i),
+        default=0,
+    )
+    table = []
+    for x6 in range(6):
+        for roles in permutations([i for i in range(6) if i != x6]):
+            p3_all = p3_exists = p4 = 0
+            for v in parts[x6]:
+                mins = [min(deg1[v][roles[i]], deg1[v][roles[(i + 2) % 5]]) for i in range(5)]
+                p3_all = max(p3_all, *mins)
+                p3_exists = max(p3_exists, min(mins))
+                sums = [deg1[v][roles[i]] + deg1[v][roles[(i + 1) % 5]] for i in range(5)]
+                p4 = max(p4, min(sums))
+            p7 = p8b = p8c = 0
+            for i in range(5):
+                for v in parts[roles[i]]:
+                    p7 = max(p7, sizes[x6] - deg2[v][x6])
+                    for d in (2, 3):
+                        j = roles[(i + d) % 5]
+                        p8b = max(p8b, sizes[j] - deg1[v][j])
+                    for d in (1, 4):
+                        j = roles[(i + d) % 5]
+                        p8c = max(p8c, sizes[j] - deg2[v][j])
+            meas = {
+                "P1": p1,
+                "P2": alpha1[x6],
+                "P3": p3_all,
+                "P3_exists": p3_exists,
+                "P4": p4,
+                "P5": p5,
+                "P6": target - dcr,
+                "P7": p7,
+                "P8_alpha": max(alpha2[r] for r in roles),
+                "P8_deg1_far": p8b,
+                "P8_deg2_near": p8c,
+            }
+            table.append((x6, roles, meas))
+    return table, dcr, sizes
+
+
+def brute_audit(cg, gamma, measured) -> tuple:
+    """(status, rows, params) of the best of the 720 assignments."""
+    table, dcr, sizes = measured
+    n = cg.n
+    limit = {name: (c * n) ** k * gamma for name, (c, k) in AUDIT_EXPS.items()}
+    verdicts = {}
+    for name, value in {(name, v) for _, _, meas in table for name, v in meas.items()}:
+        k = AUDIT_EXPS[name][1]
+        verdicts[name, value] = value <= 0 or Fraction(value) ** k <= limit[name]
+    best = None
+    for x6, roles, meas in table:
+        ok = {name: verdicts[name, value] for name, value in meas.items()}
+        key = (-sum(ok.values()), meas["P2"], meas["P3"], meas["P4"], meas["P7"], x6, roles)
+        if best is None or key < best[0]:
+            best = (key, x6, roles, meas, ok)
+    _, x6, roles, meas, ok = best
+    rows = [
+        (name, meas[name], c * (float(gamma) ** (1 / k) * n), "pass" if ok[name] else "fail")
+        for name, (c, k) in AUDIT_EXPS.items()
+    ]
+    status = "pass" if all(ok.values()) else "fail"
+    params = {
+        "gamma": gamma,
+        "n": n,
+        "x6_part": x6,
+        "role_parts": list(roles) + [x6],
+        "min_crossing_degree": dcr,
+        "part_sizes": sizes,
+    }
+    return status, rows, params
+
+
+def assert_audit_matches_brute_force(cg, part, gammas) -> None:
+    measured = brute_audit_measures(cg, part)
+    for gamma in gammas:
+        cert = audit_partition(cg, part, AuditConfig(gamma=gamma))
+        status, rows, params = brute_audit(cg, gamma, measured)
+        assert cert.status == status
+        assert [
+            (row.name, row.measured, row.bound, row.verdict) for row in cert.checks
+        ] == rows
+        assert cert.params == params
+
+
+class TestAuditOracle:
+    def test_random_partitions_match_all_720_assignments(self):
+        rng = random.Random(8)
+        for _ in range(30):
+            n = rng.randint(6, 14)
+            # dense mostly-color-2 graphs tell P7 apart from its value on the
+            # sixth part's own vertices
+            density, color1 = rng.choice([(rng.random(), rng.random()), (0.95, 0.1)])
+            edges = [e for e in combinations(range(n), 2) if rng.random() < density]
+            cg = ColoredGraph(
+                Graph.from_edges(n, edges),
+                EdgeColoring({e: 1 if rng.random() < color1 else 2 for e in edges}),
+            )
+            # fewer labels than parts leaves some parts empty
+            labels = [rng.randrange(rng.choice((4, 6, 6))) for _ in range(n)]
+            parts = [[v for v in range(n) if labels[v] == i] for i in range(6)]
+            rng.shuffle(parts)
+            gamma = rng.choice(AUDIT_GAMMAS)
+            assert_audit_matches_brute_force(cg, VertexPartition(n, parts), [gamma])
+
+    @pytest.mark.parametrize("variant", [RuleVariant.FIGURE, RuleVariant.TEXT])
+    def test_kkl60_matches_all_720_assignments(self, variant):
+        built = kkl60(variant)
+        assert_audit_matches_brute_force(built.colored_graph, built.partition, AUDIT_GAMMAS)
 
 
 class TestWitnessRevalidation:

@@ -1,8 +1,10 @@
 import io
 import json
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Fr
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -286,6 +288,47 @@ def graph6_lines(draw):
                         max_size=12))
 
 
+RATIONALS = ["0", "1/5", "1/2", "99/100", "1", "-1/3", "3/2"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 14) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "edges", "parts", "x"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def verify_documents(draw):
+    """JSON text for ``verify``: well-formed colored graphs with random
+    6-partitions (some parts empty), the same with one field broken, or
+    arbitrary JSON and non-JSON text."""
+    kind = draw(st.sampled_from(["graph", "graph", "broken", "json", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=20))
+    if kind == "json":
+        return json.dumps(draw(json_values))
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [[u, v, draw(st.sampled_from([1, 2]))] for (u, v), k in zip(pairs, keep) if k]
+    labels = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    doc = {"n": n, "edges": edges, "parts": [
+        [v for v in range(n) if labels[v] == i] for i in range(6)
+    ]}
+    if kind == "broken":
+        # replace a whole field, one of its entries, or one number in an entry
+        field = draw(st.sampled_from(["n", "edges", "parts"]))
+        holder, key = doc, field
+        if field != "n" and doc[field] and draw(st.booleans()):
+            holder, key = doc[field], draw(st.integers(0, len(doc[field]) - 1))
+            if holder[key] and draw(st.booleans()):
+                holder, key = holder[key], draw(st.integers(0, len(holder[key]) - 1))
+        holder[key] = draw(json_values)
+    return json.dumps(doc)
+
+
 class TestCliFuzz:
     @settings(max_examples=150, deadline=None)
     @given(line=graph6_lines(), p=st.integers(0, 5), q=st.integers(0, 5))
@@ -309,3 +352,17 @@ class TestCliFuzz:
         if what == "rt":
             argv += ["--m", str(m)]
         assert _dispatch_quietly(argv) in (0, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(what=st.sampled_from(["free", "witness", "formula", "audit"]),
+           text=verify_documents(), p=st.integers(0, 5), q=st.integers(0, 5),
+           m=st.integers(-1, 4), rational=st.sampled_from(RATIONALS))
+    def test_verify_exit_codes(self, what, text, p, q, m, rational):
+        argv = {
+            "free": ["--p", str(p), "--q", str(q)],
+            "witness": ["--p", str(p), "--q", str(q), "--m", str(m)],
+            "formula": ["--formula", "kkl36", "--delta", rational, "--tol", rational],
+            "audit": ["--gamma", rational],
+        }[what]
+        with mock.patch.object(sys, "stdin", io.StringIO(text)):
+            assert _dispatch_quietly(["verify", what, *argv]) in (0, 1, 2)
