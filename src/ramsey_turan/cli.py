@@ -8,6 +8,7 @@ uncolored graphs as graph6 lines; reports as CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -64,7 +65,9 @@ def _emit_certificate(cert) -> int:
     return 0 if cert.passed else CERT_FAIL
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rturan",
         description="exact constructions, certificates and brute-force "

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .graphs import (
     ColoredGraph,
-    EdgeColoring,
     Graph,
     VertexPartition,
     _check_order,
@@ -200,18 +199,8 @@ def pentagonlike(perm) -> ColoredGraph:
     perm = tuple(perm)
     if sorted(perm) != [0, 1, 2, 3, 4]:
         raise ValueError(f"{perm!r} is not a permutation of 0..4")
-    colors = {}
-    for i in range(5):
-        u, v = perm[i], perm[(i + 1) % 5]
-        colors[(min(u, v), max(u, v))] = 1
-    for u in range(5):
-        for v in range(u + 1, 5):
-            colors.setdefault((u, v), 2)
-    cg = ColoredGraph(Graph.complete(5), EdgeColoring(colors))
-    for c in (1, 2):
-        if not _is_five_cycle(cg.color_class(c)):
-            raise AssertionError(f"color class {c} is not a 5-cycle")
-    return cg
+    cycle = Graph.from_edges(5, [(perm[i], perm[(i + 1) % 5]) for i in range(5)])
+    return ColoredGraph.from_classes(cycle, cycle.complement())
 
 
 def _is_five_cycle(g: Graph) -> bool:
@@ -334,7 +323,8 @@ def kkl_36(params: KklParams) -> KklConstruction:
         )
 
     n = params.n
-    part_ranges = [range(i * q, (i + 1) * q) for i in range(6)]
+    full = (1 << n) - 1
+    part_masks = [((1 << q) - 1) << (i * q) for i in range(6)]
     x6_base = 5 * q
     h = params.clone_block
 
@@ -349,80 +339,55 @@ def kkl_36(params: KklParams) -> KklConstruction:
         raise ConstructionError(
             f"core independence {alpha2} differs from d2={params.d2}"
         )
-    i1_local = list(witness[:h])
-    i2_local = list(witness[h:])
-    blocks_local = [i1_local, i2_local]
-    for b in range(3):
-        blocks_local.append(
-            [params.m2 + b * h + j for j in range(h)]
+    i1_local = witness[:h]
+    clones = [range(params.m2 + b * h, params.m2 + (b + 1) * h) for b in range(3)]
+    i_sets = [
+        tuple(x6_base + v for v in block) for block in (i1_local, witness[h:], *clones)
+    ]
+    block_masks = [sum(1 << v for v in block) for block in i_sets]
+
+    # sixth part's own color-1 rows (local labels): the core, and clones that
+    # inherit their original's core neighborhood
+    inner = list(f2.graph.adj) + [0] * (q - params.m2)
+    for block in clones:
+        for clone, orig in zip(block, i1_local):
+            inner[clone] = f2.graph.adj[orig]
+            for w in bit_indices(inner[clone]):
+                inner[w] |= 1 << clone
+
+    # rows of both colors by the rules above; block b's rule-2 edges go to
+    # parts b and b + step
+    step = 2 if params.rule_variant is RuleVariant.TEXT else 1
+    outer = full ^ part_masks[5]
+    one, two = [], []
+    for i in range(5):
+        row1 = (
+            part_masks[(i + 2) % 5]
+            | part_masks[(i + 3) % 5]
+            | block_masks[i]
+            | block_masks[(i - step) % 5]
         )
-    i_sets = [tuple(x6_base + v for v in block) for block in blocks_local]
-
-    edges: set[tuple[int, int]] = set()
-
-    def add(u: int, v: int):
-        edges.add((u, v) if u < v else (v, u))
-
-    # complete 6-partite skeleton
-    for a in range(6):
-        for b in range(a + 1, 6):
-            for u in part_ranges[a]:
-                for v in part_ranges[b]:
-                    add(u, v)
-    # planted copies in the five outer parts
-    for i in range(5):
-        off = i * q
-        for u, v in f1.graph.edges():
-            add(off + u, off + v)
-    # sixth part: core, clones, distance-two block joins
-    for u, v in f2.graph.edges():
-        add(x6_base + u, x6_base + v)
-    for b in range(3):
-        for j, orig in enumerate(i1_local):
-            clone = params.m2 + b * h + j
-            for w in range(params.m2):
-                if f2.graph.has_edge(orig, w):
-                    add(x6_base + clone, x6_base + w)
-    for i in range(5):
-        for u in i_sets[i]:
-            for v in i_sets[(i + 2) % 5]:
-                add(u, v)
-
-    graph = Graph.from_edges(n, edges)
-
-    # block membership and per-part ids for the coloring rules
-    block_of = {}
-    for i, block in enumerate(i_sets):
+        row2 = full & ~part_masks[i] & ~row1
+        one += [row1] * q
+        two += [row2 | row << (i * q) for row in f1.graph.adj]
+    one += [row << x6_base for row in inner]
+    two += [outer] * q
+    for b, block in enumerate(i_sets):
+        sent = part_masks[b] | part_masks[(b + step) % 5]
+        joined = block_masks[(b + 2) % 5] | block_masks[(b + 3) % 5]
         for v in block:
-            block_of[v] = i
-    part_of = [min(v // q, 5) for v in range(n)]
+            one[v] |= sent
+            two[v] = (outer ^ sent) | joined
 
-    if params.rule_variant is RuleVariant.TEXT:
-        offsets = (0, 2)
-    else:
-        offsets = (0, 1)
-
-    colors = {}
-    rule_counts = {1: 0, 2: 0, 3: 0, 4: 0}
-    for u, v in graph.edges():
-        pu, pv = part_of[u], part_of[v]
-        rule = 4
-        if pu != pv:
-            if pu < 5 and pv < 5 and _dist_mod(pu, pv, 5) == 2:
-                rule = 1
-            elif pu == 5 or pv == 5:
-                inner, outer = (u, pv) if pu == 5 else (v, pu)
-                b = block_of.get(inner)
-                if b is not None and outer in ((b + off) % 5 for off in offsets):
-                    rule = 2
-        else:
-            if pu == 5 and not (u in block_of and v in block_of):
-                rule = 3
-        rule_counts[rule] += 1
-        colors[(u, v)] = 1 if rule < 4 else 2
-
-    cg = ColoredGraph(graph, EdgeColoring(colors))
-    partition = VertexPartition(n, part_ranges)
+    cg = ColoredGraph.from_classes(Graph(n, one), Graph(n, two))
+    graph = cg.graph
+    rule_counts = {
+        1: sum((row & outer).bit_count() for row in one[:x6_base]) // 2,
+        2: sum((row & part_masks[5]).bit_count() for row in one[:x6_base]),
+        3: sum((row & part_masks[5]).bit_count() for row in one[x6_base:]) // 2,
+        4: cg.classes[1].edge_count,
+    }
+    partition = VertexPartition(n, [range(i * q, (i + 1) * q) for i in range(6)])
     alpha, alpha_witness = independence_number(graph)
     stats = {
         "edges": graph.edge_count,
@@ -457,22 +422,20 @@ def construction_37(
             f"d={d} not realizable on {q} vertices (achieved {planted.degree},"
             f" padding {planted.padding})"
         )
-    colors = {}
-    for i in range(8):
-        off = i * q
-        for u, v in planted.graph.edges():
-            colors[(off + u, off + v)] = 2
+    part_masks = [((1 << q) - 1) << (i * q) for i in range(8)]
+    one, two = [], []
     for a in range(8):
-        for b in range(a + 1, 8):
-            if distance is Distance.CYCLIC:
-                dist = _dist_mod(a, b, 8)
+        near = far = 0
+        for b in range(8):
+            if b == a:
+                continue
+            dist = _dist_mod(a, b, 8) if distance is Distance.CYCLIC else abs(a - b)
+            if dist in (1, 2):
+                near |= part_masks[b]
             else:
-                dist = b - a
-            c = 2 if dist in (1, 2) else 1
-            for u in range(a * q, (a + 1) * q):
-                for v in range(b * q, (b + 1) * q):
-                    colors[(u, v)] = c
-    graph = Graph.from_edges(n, list(colors))
-    cg = ColoredGraph(graph, EdgeColoring(colors))
+                far |= part_masks[b]
+        one += [far] * q
+        two += [near | row << (a * q) for row in planted.graph.adj]
+    cg = ColoredGraph.from_classes(Graph(n, one), Graph(n, two))
     partition = VertexPartition(n, [range(i * q, (i + 1) * q) for i in range(8)])
     return cg, partition

@@ -84,30 +84,18 @@ def decode(line: str) -> Graph:
             f"expected {nbytes} adjacency bytes for n={n}, got {len(s) - idx}",
             min(len(s), idx + nbytes),
         )
+    data = [ord(ch) - 63 for ch in s[idx:]]
+    if data and data[-1] & ((1 << (6 * nbytes - nbits)) - 1):
+        raise Graph6Error("nonzero padding bits", len(s) - 1)
     rows = [0] * n
-    bitpos = 0
-    for k in range(nbytes):
-        group = ord(s[idx + k]) - 63
-        for off in range(5, -1, -1):
-            if bitpos >= nbits:
-                if (group >> off) & 1:
-                    raise Graph6Error("nonzero padding bits", idx + k)
-                continue
-            if (group >> off) & 1:
-                i, j = _bit_to_pair(bitpos)
+    t = 0
+    for j in range(1, n):  # column by column, in _triangle_bits order
+        for i in range(j):
+            if data[t // 6] >> (5 - t % 6) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            bitpos += 1
+            t += 1
     return Graph(n, rows)
-
-
-def _bit_to_pair(t: int) -> tuple[int, int]:
-    # column-major upper triangle: column j holds bits for i = 0..j-1
-    j = 1
-    while t >= j:
-        t -= j
-        j += 1
-    return t, j
 
 
 def write_lines(graphs) -> str:

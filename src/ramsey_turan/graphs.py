@@ -151,6 +151,8 @@ class VertexPartition:
             for v in part:
                 if not 0 <= v < n:
                     raise ValueError(f"vertex {v} out of range for n={n}")
+                if (mask >> v) & 1:
+                    raise ValueError(f"vertex {v} repeated within one part")
                 mask |= 1 << v
             if mask & seen:
                 raise ValueError("partition parts are not disjoint")
@@ -196,7 +198,10 @@ class EdgeColoring:
                 raise ValueError(f"self-loop ({u},{v}) in coloring")
             if c not in (1, 2):
                 raise ValueError(f"color {c} not in {{1, 2}}")
-            norm[(u, v) if u < v else (v, u)] = c
+            key = (u, v) if u < v else (v, u)
+            if key in norm:
+                raise ValueError(f"duplicate edge {key}")
+            norm[key] = c
         self.colors = norm
 
     def color(self, u: int, v: int) -> int:
@@ -209,55 +214,93 @@ class EdgeColoring:
         return len(self.colors)
 
 
-class ColoredGraph:
-    """Graph together with a total 2-coloring of its edge set."""
+def _color_classes(n: int, colored_edges) -> tuple[Graph, Graph]:
+    """The two spanning color classes of (u, v, color) triples on ``n`` vertices."""
+    one, two = [0] * _check_order(n), [0] * n
+    for u, v, c in colored_edges:
+        if u == v:
+            raise ValueError(f"self-loop ({u},{v}) in coloring")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if c not in (1, 2):
+            raise ValueError(f"color {c} not in {{1, 2}}")
+        if (one[u] | two[u]) >> v & 1:
+            raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
+        row = one if c == 1 else two
+        row[u] |= 1 << v
+        row[v] |= 1 << u
+    return Graph(n, one), Graph(n, two)
 
-    __slots__ = ("graph", "coloring")
+
+class ColoredGraph:
+    """Graph together with a total 2-coloring of its edge set.
+
+    The coloring is stored as its two color classes, spanning graphs whose
+    edge sets partition the host's, built and validated once; ``coloring``
+    is the equivalent edge-to-color map, built on first use.
+    """
+
+    __slots__ = ("graph", "classes", "_coloring")
 
     def __init__(self, graph: Graph, coloring: EdgeColoring):
-        edges = set(graph.edges())
-        domain = set(coloring.colors)
-        if domain != edges:
-            missing = sorted(edges - domain)[:3]
-            extra = sorted(domain - edges)[:3]
-            raise ValueError(
-                f"coloring domain mismatch (missing {missing}, extra {extra})"
-            )
+        one, two = _color_classes(
+            graph.n, ((u, v, c) for (u, v), c in coloring.colors.items())
+        )
+        for v, row in enumerate(graph.adj):
+            colored = one.adj[v] | two.adj[v]
+            if colored != row:
+                missing = list(bit_indices(row & ~colored))[:3]
+                extra = list(bit_indices(colored & ~row))[:3]
+                raise ValueError(
+                    f"coloring domain mismatch at vertex {v}"
+                    f" (missing {missing}, extra {extra})"
+                )
         self.graph = graph
-        self.coloring = coloring
+        self.classes = (one, two)
+        self._coloring = coloring
+
+    @classmethod
+    def from_classes(cls, one: Graph, two: Graph) -> "ColoredGraph":
+        """Colored graph whose color-1 and color-2 edges are ``one`` and ``two``."""
+        if one.n != two.n:
+            raise ValueError(f"color classes differ in order ({one.n} != {two.n})")
+        rows = []
+        for v, (a, b) in enumerate(zip(one.adj, two.adj)):
+            if a & b:
+                raise ValueError(f"color classes share an edge at vertex {v}")
+            rows.append(a | b)
+        cg = cls.__new__(cls)
+        cg.graph = Graph(one.n, rows)
+        cg.classes = (one, two)
+        cg._coloring = None
+        return cg
 
     @classmethod
     def from_colored_edges(cls, n: int, colored_edges) -> "ColoredGraph":
-        colors = {}
-        for u, v, c in colored_edges:
-            key = (u, v) if u < v else (v, u)
-            if key in colors:
-                raise ValueError(f"duplicate edge {key}")
-            colors[key] = c
-        graph = Graph.from_edges(n, list(colors))
-        return cls(graph, EdgeColoring(colors))
+        return cls.from_classes(*_color_classes(n, colored_edges))
 
     @property
     def n(self) -> int:
         return self.graph.n
 
+    @property
+    def coloring(self) -> EdgeColoring:
+        """Edge-to-color map of the classes (cached; treat as read-only)."""
+        if self._coloring is None:
+            two = self.classes[1].adj
+            self._coloring = EdgeColoring(
+                {(u, v): 2 if two[u] >> v & 1 else 1 for u, v in self.graph.edges()}
+            )
+        return self._coloring
+
     def color_class(self, c: int) -> Graph:
         """Spanning subgraph carrying the edges of color ``c``."""
         if c not in (1, 2):
             raise ValueError(f"color {c} not in {{1, 2}}")
-        rows = [0] * self.graph.n
-        for (u, v), cc in self.coloring.colors.items():
-            if cc == c:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        return Graph(self.graph.n, rows)
+        return self.classes[c - 1]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ColoredGraph)
-            and self.graph == other.graph
-            and self.coloring == other.coloring
-        )
+        return isinstance(other, ColoredGraph) and self.classes == other.classes
 
     def __repr__(self) -> str:
         return f"ColoredGraph(n={self.n}, m={self.graph.edge_count})"

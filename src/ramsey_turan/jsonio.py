@@ -16,9 +16,8 @@ from .graphs import MAX_VERTICES, ColoredGraph, VertexPartition
 
 
 def colored_graph_to_dict(cg: ColoredGraph, parts: VertexPartition | None = None) -> dict:
-    edges = sorted(
-        [u, v, c] for (u, v), c in cg.coloring.colors.items()
-    )
+    two = cg.color_class(2).adj
+    edges = [[u, v, 2 if two[u] >> v & 1 else 1] for u, v in cg.graph.edges()]
     doc = {"n": cg.n, "edges": edges}
     if parts is not None:
         doc["parts"] = [list(p) for p in parts.parts]

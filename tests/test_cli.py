@@ -209,6 +209,8 @@ class TestCliCommands:
             ("free", {"n": "3", "edges": []}),
             ("free", {"n": 3, "edges": [[0, "1", 1]]}),
             ("audit", {"n": 6, "edges": [], "parts": 5}),
+            ("audit", {"n": 12, "edges": [],
+                       "parts": [[0, 0, 0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11]]}),
         ],
     )
     def test_malformed_documents_exit_2(self, capsys, tmp_path, what, doc):
@@ -219,6 +221,15 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_successive_dispatches_are_independent(self, capsys):
+        code, first = run(capsys, "report", "table", "--delta", "1/10")
+        assert code == 0 and ",1/10," in first
+        code, second = run(capsys, "report", "table", "--delta", "1/5")
+        assert code == 0 and ",1/5," in second and ",1/10," not in second
+        assert cli_dispatch(["report", "table", "--delta"]) == 2
+        assert capsys.readouterr().out == ""
+        assert run(capsys, "report", "table", "--delta", "1/10") == (0, first)
 
     def test_fgraph_stats_on_stderr(self, capsys):
         code = cli_dispatch(["construct", "fgraph", "--m", "10", "--d", "4"])

@@ -1,9 +1,10 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 
-from ramsey_turan import Graph, Graph6Error
+from ramsey_turan import Graph, Graph6Error, turan
 from ramsey_turan.graph6 import decode, encode, read_lines, write_lines
 
 from .conftest import petersen
@@ -36,6 +37,13 @@ def test_round_trip_1000_random_graphs():
         n = rng.randint(1, 60)
         g = random_graph(n, rng.random(), rng)
         assert decode(encode(g)) == g
+
+
+def test_large_round_trip_is_fast():
+    g = turan(1000, 6)
+    start = time.perf_counter()
+    assert decode(encode(g)) == g
+    assert time.perf_counter() - start < 3
 
 
 def test_long_form_vertex_count():

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramsey_turan import (
+    ColoredGraph,
+    EdgeColoring,
     Graph,
     VertexPartition,
     clique_number,
@@ -75,6 +77,83 @@ class TestGraphValidation:
         g = Graph.cycle(5)
         sub = g.induced((0, 1, 2))
         assert sorted(sub.edges()) == [(0, 1), (1, 2)]
+
+
+class TestVertexPartition:
+    def test_repeated_vertex_in_one_part_rejected(self):
+        with pytest.raises(ValueError, match="repeated"):
+            VertexPartition(3, [[0, 0, 1], [2]])
+
+    def test_shared_vertex_across_parts_rejected(self):
+        with pytest.raises(ValueError, match="disjoint"):
+            VertexPartition(3, [[0, 1], [1, 2]])
+
+
+class TestColoredGraph:
+    TRIANGLE = {(0, 1): 1, (0, 2): 2, (1, 2): 1}
+
+    @pytest.mark.parametrize(
+        "graph, colors, message",
+        [
+            (Graph.complete(3), {(0, 1): 1, (0, 2): 2}, "missing \\[2\\]"),
+            (Graph.cycle(4), {(0, 1): 1, (1, 2): 1, (2, 3): 2, (0, 3): 2, (0, 2): 1},
+             "extra \\[2\\]"),
+            (Graph.complete(3), {**TRIANGLE, (0, 3): 1}, "out of range"),
+            (Graph.complete(3), {**TRIANGLE, (-1, 0): 2}, "out of range"),
+        ],
+        ids=["missing-edge", "extra-pair", "out-of-range", "negative"],
+    )
+    def test_rejects_a_coloring_that_is_not_the_edge_set(self, graph, colors, message):
+        with pytest.raises(ValueError, match=message):
+            ColoredGraph(graph, EdgeColoring(colors))
+
+    @pytest.mark.parametrize(
+        "triples, message",
+        [
+            ([(0, 1, 1), (0, 2, 3)], "color 3"),
+            ([(0, 1, 1), (1, 1, 2)], "self-loop"),
+            ([(0, 1, 1), (1, 0, 1)], "duplicate"),
+            ([(0, 1, 1), (0, 1, 2)], "duplicate"),
+            ([(0, 1, 2), (1, 0, 1)], "duplicate"),
+            ([(0, 3, 1)], "out of range"),
+            ([(0, -1, 1)], "out of range"),
+        ],
+        ids=["color-3", "self-loop", "reversed", "both-colors", "reversed-both-colors",
+             "out-of-range", "negative"],
+    )
+    def test_rejects_bad_colored_edges(self, triples, message):
+        with pytest.raises(ValueError, match=message):
+            ColoredGraph.from_colored_edges(3, triples)
+
+    def test_duplicate_in_edge_coloring_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            EdgeColoring({(0, 1): 1, (1, 0): 2})
+
+    def test_vertex_cap(self):
+        with pytest.raises(ValueError, match="outside"):
+            ColoredGraph.from_colored_edges(4097, [])
+
+    def test_from_classes_rejects_overlap_and_order_mismatch(self):
+        with pytest.raises(ValueError, match="share an edge"):
+            ColoredGraph.from_classes(Graph.complete(3), Graph.from_edges(3, [(0, 1)]))
+        with pytest.raises(ValueError, match="order"):
+            ColoredGraph.from_classes(Graph.empty(3), Graph.empty(4))
+
+    def test_views_agree_and_are_built_once(self):
+        coloring = EdgeColoring(self.TRIANGLE)
+        cg = ColoredGraph(Graph.complete(3), coloring)
+        assert cg.coloring == coloring
+        assert cg.color_class(1) is cg.color_class(1)
+        assert sorted(cg.color_class(1).edges()) == [(0, 1), (1, 2)]
+        assert sorted(cg.color_class(2).edges()) == [(0, 2)]
+        built = ColoredGraph.from_colored_edges(
+            3, [(u, v, c) for (u, v), c in self.TRIANGLE.items()]
+        )
+        assert built == cg and built.graph == Graph.complete(3)
+        assert built.coloring == coloring
+        assert built.coloring is built.coloring
+        assert built.color_class(2) is built.color_class(2)
+        assert ColoredGraph.from_classes(*cg.classes) == cg
 
 
 class TestFindClique:
