@@ -55,7 +55,7 @@ def turan(n: int, p: int) -> Graph:
         raise ValueError("part count must be >= 1")
     if p > n:
         raise ValueError(f"part count {p} exceeds vertex count {n}")
-    return _complete_multipartite(turan_part_sizes(n, p))
+    return _complete_multipartite(turan_part_sizes(_check_order(n), p))
 
 
 def _complete_multipartite(sizes) -> Graph:
@@ -165,7 +165,7 @@ def f_graph(m: int, d_target: int) -> FGraphResult:
     """
     if m < 2:
         raise ValueError("f-graph order must be >= 2")
-    order = m
+    order = _check_order(m)
     padding = 0
     options = _blowup_options(order)
     while not options:
@@ -308,7 +308,8 @@ def kkl_36(params: KklParams) -> KklConstruction:
     (rule 3).  Everything else is color 2 (rule 4).  Freeness is not asserted
     here; the certifier decides it.
     """
-    q = params.n // 6
+    n = _check_order(params.n)
+    q = n // 6
     f1 = f_graph(q, params.d1)
     if not f1.exact or f1.degree != params.d1:
         raise ConstructionError(
@@ -322,7 +323,6 @@ def kkl_36(params: KklParams) -> KklConstruction:
             f" (achieved {f2.degree}, padding {f2.padding})"
         )
 
-    n = params.n
     full = (1 << n) - 1
     part_masks = [((1 << q) - 1) << (i * q) for i in range(6)]
     x6_base = 5 * q
@@ -415,7 +415,7 @@ def construction_37(
     """
     if n <= 0 or n % 8:
         raise ValueError(f"n={n} must be a positive multiple of 8")
-    q = n // 8
+    q = _check_order(n) // 8
     planted = f_graph(q, d)
     if not planted.exact or planted.degree != d:
         raise ConstructionError(

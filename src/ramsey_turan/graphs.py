@@ -7,8 +7,8 @@ a completed search, not a heuristic.  Clique and independence queries first
 walk the modular decomposition of the graph (``_omega``): components,
 co-components and the maximal strong modules reduce the blow-up
 constructions to small prime quotients.  Those are solved by a
-branch-and-bound with a greedy-coloring bound (``_clique_engine``, or
-``_weighted_clique`` when modules carry weights).  Both the decomposition
+branch-and-bound with a greedy-coloring bound (``_clique_engine``, which
+takes the module weights when modules carry them).  Both the decomposition
 walk and the searches keep their state on explicit stacks, so deep inputs
 never hit the interpreter's recursion limit.
 """
@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 MAX_VERTICES = 4096
+_UNIT = (1,) * MAX_VERTICES
 
 
 def _check_order(n: int) -> int:
@@ -307,16 +308,26 @@ class ColoredGraph:
 
 
 def _clique_engine(
-    adj: Sequence[int], start: int, lower: int, stop_at: int | None
+    adj: Sequence[int],
+    start: int,
+    lower: int,
+    stop_at: int | None,
+    weights: Sequence[int] = _UNIT,
 ) -> tuple[int, int]:
-    """Branch-and-bound maximum clique over the vertex bitset ``start``.
+    """Branch-and-bound maximum-weight clique over the vertex bitset ``start``.
 
-    Only cliques strictly larger than ``lower`` are recorded; with ``stop_at``
-    set the search returns as soon as a clique of that size is found, which
-    turns the engine into an exact "is there a K_p" decision procedure.
-    Returns (best size, best clique bitset); best size == lower means the
-    completed search found nothing larger.  The search keeps its branches on
-    an explicit stack, so its depth is not bounded by the interpreter's.
+    The candidates are colored greedily and a branch is pruned when its
+    weight plus, over the color classes left, the weight of each class's
+    first vertex cannot beat the best clique (Ostergard 2002).  That first
+    vertex is the class's lowest index, so the bound is sound when
+    ``weights`` (positive, one per vertex) do not increase with the vertex
+    index; the unit default makes it the plain color count.  Only cliques
+    strictly heavier than ``lower`` are recorded; with ``stop_at`` set the
+    search returns as soon as a clique of that weight is found, which turns
+    the engine into an exact "is there a K_p" decision procedure.  Returns
+    (best weight, best clique bitset); best weight == lower means the
+    completed search found nothing heavier.  The search keeps its branches
+    on an explicit stack, so its depth is not bounded by the interpreter's.
     """
     best_size = lower
     best_mask = 0
@@ -325,21 +336,25 @@ def _clique_engine(
     stack = []
     r_size, r_mask, cands = 0, 0, start
     while True:
-        # greedy coloring of the candidates: bounds[i] colors cover order[:i+1]
+        # greedy coloring of the candidates: bounds[i] bounds the weight of a
+        # clique within order[:i+1]
         order: list[int] = []
         bounds: list[int] = []
         uncolored = cands
-        color = 0
+        total = 0
         while uncolored:
-            color += 1
             queue = uncolored
-            while queue:
-                v = (queue & -queue).bit_length() - 1
+            v = (queue & -queue).bit_length() - 1
+            total += weights[v]
+            while True:
                 bit = 1 << v
                 uncolored ^= bit
                 queue = (queue ^ bit) & ~adj[v]
                 order.append(v)
-                bounds.append(color)
+                bounds.append(total)
+                if not queue:
+                    break
+                v = (queue & -queue).bit_length() - 1
         i = len(order) - 1
         while True:
             if i < 0 or r_size + bounds[i] <= best_size:
@@ -354,75 +369,15 @@ def _clique_engine(
             i -= 1
             if new_cands:
                 stack.append((r_size, r_mask, cands, order, bounds, i))
-                r_size += 1
+                r_size += weights[v]
                 r_mask |= bit
                 cands = new_cands
                 break
-            if r_size + 1 > best_size:
-                best_size = r_size + 1
+            if r_size + weights[v] > best_size:
+                best_size = r_size + weights[v]
                 best_mask = r_mask | bit
                 if stop_at is not None and best_size >= stop_at:
                     return best_size, best_mask
-
-
-def _weighted_clique(
-    adj: Sequence[int], weights: Sequence[int], stop_at: int | None
-) -> tuple[int, int]:
-    """Maximum-weight clique over all vertices of ``adj`` (positive weights).
-
-    Branch and bound in the style of Ostergard (2002): the candidates are
-    colored greedily and a branch is pruned when its weight plus the sum,
-    over the color classes left, of the largest weight in each class cannot
-    beat the best clique.  ``stop_at`` and the result are as in
-    ``_clique_engine``; callers list heavier vertices first, so each class
-    opens with its largest weight.
-    """
-    best_weight = 0
-    best_mask = 0
-    stack = []
-    r_weight, r_mask, cands = 0, 0, (1 << len(adj)) - 1
-    while True:
-        order: list[int] = []
-        bounds: list[int] = []
-        uncolored = cands
-        total = 0
-        while uncolored:
-            queue = uncolored
-            top = size = 0
-            while queue:
-                v = (queue & -queue).bit_length() - 1
-                bit = 1 << v
-                uncolored ^= bit
-                queue = (queue ^ bit) & ~adj[v]
-                order.append(v)
-                if weights[v] > top:
-                    top = weights[v]
-                size += 1
-            total += top
-            bounds.extend([total] * size)
-        i = len(order) - 1
-        while True:
-            if i < 0 or r_weight + bounds[i] <= best_weight:
-                if not stack:
-                    return best_weight, best_mask
-                r_weight, r_mask, cands, order, bounds, i = stack.pop()
-                continue
-            v = order[i]
-            bit = 1 << v
-            new_cands = cands & adj[v]
-            cands ^= bit
-            i -= 1
-            if new_cands:
-                stack.append((r_weight, r_mask, cands, order, bounds, i))
-                r_weight += weights[v]
-                r_mask |= bit
-                cands = new_cands
-                break
-            if r_weight + weights[v] > best_weight:
-                best_weight = r_weight + weights[v]
-                best_mask = r_mask | bit
-                if stop_at is not None and best_weight >= stop_at:
-                    return best_weight, best_mask
 
 
 def _component(adj: Sequence[int], S: int, seed: int) -> int:
@@ -594,8 +549,8 @@ def _omega(adj: Sequence[int], S: int, stop_at: int | None) -> tuple[int, int]:
     disconnected (series node), omega is the sum over the co-components and
     the witness is the union of theirs; otherwise (prime node) omega is the
     maximum-weight clique of the quotient on the maximal strong modules, each
-    weighted by its own omega, solved by ``_clique_engine`` for unit weights
-    and ``_weighted_clique`` otherwise.  ``stop_at`` behaves as in
+    weighted by its own omega, solved by ``_clique_engine`` (on the module
+    witnesses themselves when every weight is 1).  ``stop_at`` behaves as in
     ``_clique_engine``: once a clique of that size is found it is returned,
     otherwise the result is exact.  The decomposition tree is walked with an
     explicit stack of node generators, and the witness is re-checked.
@@ -681,11 +636,14 @@ def _omega_node(adj: Sequence[int], S: int, stop_at: int | None):
         # every module is edgeless and its witness is one of its vertices, so
         # G on the witnesses is the quotient and its cliques lift as they are
         return _clique_engine(adj, sum(witnesses), 0, stop_at)
-    # heaviest modules first, so each greedy color class opens with its maximum
-    # (a vertex of a module's witness stands for the whole module)
+    # heaviest modules first, as the engine's bound needs: each greedy color
+    # class opens with its maximum (a vertex of a module's witness stands for
+    # the whole module)
     order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
     qrows = _quotient_rows(adj, [witnesses[j] & -witnesses[j] for j in order])
-    size, qmask = _weighted_clique(qrows, [weights[j] for j in order], stop_at)
+    size, qmask = _clique_engine(
+        qrows, (1 << len(qrows)) - 1, 0, stop_at, [weights[j] for j in order]
+    )
     mask = 0
     while qmask:
         bit = qmask & -qmask

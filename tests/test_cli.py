@@ -247,14 +247,26 @@ class TestCliContract:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
-    def test_vertex_cap_checked_before_building(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["andrasfai", "--k", "2000"],
+            # these three cost seconds of work linear in n before any row list
+            ["fgraph", "--m", "100000000", "--d", "3"],
+            ["kkl36", "--n", "600000000", "--d1", "2", "--m2", "2", "--d2", "1"],
+            ["c37", "--n", "800000000", "--d", "2"],
+        ],
+        ids=["andrasfai", "fgraph", "kkl36", "c37"],
+    )
+    def test_vertex_cap_checked_before_building(self, capsys, argv):
         start = time.perf_counter()
-        code = cli_dispatch(["construct", "andrasfai", "--k", "2000"])
+        code = cli_dispatch(["construct", *argv])
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 2
         assert elapsed < 1.0
-        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.err.startswith("error: ") and "outside [0, 4096]" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_coloring_of_deep_input(self, capsys):
         # T(80, 2) has 1600 edges, one recursion level each in the old search

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -50,6 +51,15 @@ class TestTuran:
     def test_zero_parts_rejected(self):
         with pytest.raises(ValueError):
             turan(5, 0)
+
+    def test_vertex_cap_checked_before_part_sizes(self):
+        # the size list grows with the part count, up to n entries
+        with mock.patch(
+            "ramsey_turan.constructions.turan_part_sizes",
+            side_effect=AssertionError("part sizes built before the cap check"),
+        ):
+            with pytest.raises(ValueError, match="outside"):
+                turan(10**9, 10**9)
 
 
 class TestAndrasfai:

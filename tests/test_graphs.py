@@ -297,6 +297,50 @@ class TestOmegaKernel:
                 assert_clique(g, found)
 
 
+def heaviest_clique_weight(g: Graph, start: int, weights) -> int:
+    """Largest total weight of a clique inside ``start``, by enumeration."""
+    vertices = list(bit_indices(start))
+    return max(
+        sum(weights[v] for v in subset)
+        for size in range(len(vertices) + 1)
+        for subset in combinations(vertices, size)
+        if all(g.has_edge(u, v) for u, v in combinations(subset, 2))
+    )
+
+
+class TestCliqueEngine:
+    """The branch and bound against enumeration, with its restriction to
+    ``start``, its ``lower`` floor, its ``stop_at`` exit and weights that do
+    not increase with the vertex index (unit weights among them)."""
+
+    def test_matches_enumeration(self):
+        rng = random.Random(10)
+        for case in range(1500):
+            n = rng.randint(1, 10)
+            g = random_graph(n, rng.random(), rng.randrange(10**6))
+            if case % 3:
+                weights = sorted((rng.randint(1, 5) for _ in range(n)), reverse=True)
+            else:
+                weights = [1] * n
+            start = rng.randrange(1 << n)
+            best = heaviest_clique_weight(g, start, weights)
+            lower = rng.randint(0, best + 1)
+            stop_at = rng.choice([None, rng.randint(1, best + 2)])
+            size, mask = _clique_engine(g.adj, start, lower, stop_at, weights)
+            # what a completed search returns: the optimum, or the floor
+            exact = max(best, lower)
+            if stop_at is None or exact < stop_at:
+                assert size == exact
+            else:
+                assert stop_at <= size <= exact
+            if size > lower:
+                assert mask & ~start == 0
+                assert sum(weights[v] for v in bit_indices(mask)) == size
+                assert_clique(g, tuple(bit_indices(mask)))
+            else:
+                assert (size, mask) == (lower, 0)
+
+
 def call_depth() -> int:
     depth, frame = 0, sys._getframe()
     while frame is not None:

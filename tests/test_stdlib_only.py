@@ -1,0 +1,27 @@
+"""The package keeps zero runtime dependencies: it imports only the standard
+library and itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "ramsey_turan").glob("*.py"))
+
+
+def absolute_imports(path: Path) -> set[str]:
+    """Top-level names of the absolute imports anywhere in ``path``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_absolute_import_is_stdlib():
+    assert SOURCES
+    imported = set().union(*map(absolute_imports, SOURCES))
+    assert imported - sys.stdlib_module_names == set()
+    # guard against a parse that finds nothing
+    assert {"fractions", "json", "argparse"} <= imported
