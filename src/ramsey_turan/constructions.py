@@ -78,6 +78,7 @@ def turan_part_sizes(n: int, p: int) -> list[int]:
 
 
 def turan_partition(n: int, p: int) -> VertexPartition:
+    _check_order(n)
     parts = []
     start = 0
     for size in turan_part_sizes(n, p):

@@ -15,6 +15,7 @@ never hit the interpreter's recursion limit.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -38,12 +39,47 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+@functools.cache
+def _transpose_steps(w: int) -> tuple[tuple[int, int], ...]:
+    """``(shift, mask)`` of the delta swaps that transpose a w-by-w bit matrix.
+
+    Bit (r, c) of the matrix is bit ``r * w + c``.  The swap at block size j
+    exchanges (r, c) with (r + j, c - j) wherever bit j of r is clear and bit
+    j of c is set, a shift of ``j * (w - 1)``; applying it for j = w/2, ...,
+    1 transposes the matrix (Warren, *Hacker's Delight* 7-3).  Each mask is
+    built from repeated byte patterns, in time linear in its w*w/8 bytes.
+    """
+    row_bytes = w // 8
+    steps = []
+    j = w // 2
+    while j:
+        if j >= 8:
+            row = (bytes(j // 8) + b"\xff" * (j // 8)) * (w // (2 * j))
+        else:
+            row = bytes([sum(1 << c for c in range(8) if c & j)]) * row_bytes
+        block = row * j + bytes(row_bytes * j)
+        steps.append((j * (w - 1), int.from_bytes(block * (w // (2 * j)), "little")))
+        j //= 2
+    return tuple(steps)
+
+
+def _transpose(matrix: int, w: int) -> int:
+    """Transpose of the w-by-w bit matrix ``matrix`` (bit (r, c) at r * w + c)."""
+    for shift, mask in _transpose_steps(w):
+        t = (matrix ^ (matrix >> shift)) & mask
+        matrix ^= t ^ (t << shift)
+    return matrix
+
+
 class Graph:
     """Undirected simple graph on vertices ``0..n-1``.
 
     ``adj[v]`` is the neighbor bitset of ``v``.  Rows are validated to be
-    symmetric, irreflexive and within range; instances are treated as
-    immutable values.
+    irreflexive and within range one at a time, and symmetric all at once:
+    the rows are packed into one w-by-w bit matrix (w the next power of two
+    >= max(n, 8)), transposed by log2(w) delta swaps, and any bit of the
+    matrix missing from its transpose names the first asymmetric pair.
+    Instances are treated as immutable values.
     """
 
     __slots__ = ("n", "adj")
@@ -59,10 +95,15 @@ class Graph:
                 raise ValueError(f"adjacency row {v} has bits outside [0, {n})")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v, row in enumerate(rows):
-            for u in bit_indices(row):
-                if not (rows[u] >> v) & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        w = max(8, 1 << (n - 1).bit_length())
+        packed = int.from_bytes(
+            b"".join([r.to_bytes(w // 8, "little") for r in rows]), "little"
+        )
+        one_sided = packed & ~_transpose(packed, w)
+        if one_sided:
+            # lowest set bit: the first row v holding a u whose row lacks v
+            v, u = divmod((one_sided & -one_sided).bit_length() - 1, w)
+            raise ValueError(f"asymmetric adjacency between {u} and {v}")
         self.n = n
         self.adj = rows
 
@@ -144,6 +185,7 @@ class VertexPartition:
     __slots__ = ("n", "parts", "masks")
 
     def __init__(self, n: int, parts: Sequence[Sequence[int]]):
+        _check_order(n)
         masks = []
         seen = 0
         norm = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 
 from .certify import Certificate, CheckRow
 from .graphs import MAX_VERTICES, ColoredGraph, VertexPartition
@@ -29,10 +30,18 @@ def _is_int(value) -> bool:
 
 
 def _int_lists(value, what: str, width: int | None = None) -> list[tuple[int, ...]]:
-    """Validate a list of integer lists (each of ``width`` entries if given)."""
-    if not isinstance(value, list) or not all(
-        isinstance(row, list) and all(map(_is_int, row)) and width in (None, len(row))
-        for row in value
+    """Validate a list of integer lists (each of ``width`` entries if given).
+
+    Shapes are checked row by row; entry types once, over the set of types
+    that occur (``bool`` is an ``int`` subclass but not an integer here).
+    """
+    if (
+        not isinstance(value, list)
+        or not all(isinstance(row, list) and width in (None, len(row)) for row in value)
+        or not all(
+            issubclass(kind, int) and kind is not bool
+            for kind in set(map(type, chain.from_iterable(value)))
+        )
     ):
         raise ValueError(f"{what} must be a list of integer lists")
     return [tuple(row) for row in value]

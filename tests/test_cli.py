@@ -1,8 +1,10 @@
 import io
 import json
+import random
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from enum import IntEnum
 from fractions import Fraction as Fr
 from unittest import mock
 
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 from ramsey_turan import ColoredGraph, Graph, graph6, pentagonlike
 from ramsey_turan.cli import cli_dispatch
 from ramsey_turan.jsonio import (
+    _int_lists,
+    _is_int,
     certificate_from_dict,
     certificate_to_dict,
     colored_graph_from_dict,
@@ -43,6 +47,50 @@ class TestJsonRoundTrip:
         assert back.status == cert.status
         assert [c.name for c in back.checks] == [c.name for c in cert.checks]
         assert back.witness == cert.witness
+
+
+class Colour(IntEnum):
+    RED = 1
+
+
+def int_lists_per_entry(value, what, width=None):
+    """Reference: ``_is_int`` called on every entry."""
+    if not isinstance(value, list) or not all(
+        isinstance(row, list) and all(map(_is_int, row)) and width in (None, len(row))
+        for row in value
+    ):
+        raise ValueError(f"{what} must be a list of integer lists")
+    return [tuple(row) for row in value]
+
+
+def int_lists_outcome(check, value, width):
+    try:
+        return check(value, "'edges'", width)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestIntLists:
+    ENTRIES = [True, False, 0, -3, 7, 1.0, "1", None, Colour.RED, [1], [], (1,)]
+
+    def test_matches_per_entry_check_on_mixed_lists(self):
+        rng = random.Random(5)
+        accepted = rejected = 0
+        for _ in range(3000):
+            rows = []
+            for _ in range(rng.randint(0, 4)):
+                pool = self.ENTRIES if rng.random() < 0.3 else [0, -3, 7, Colour.RED]
+                row = [rng.choice(pool) for _ in range(rng.choice([2, 3, 3, 3, 4]))]
+                rows.append(row if rng.random() < 0.95 else tuple(row))
+            value = rows if rng.random() < 0.97 else tuple(rows)
+            width = rng.choice([None, 3])
+            expected = int_lists_outcome(int_lists_per_entry, value, width)
+            assert int_lists_outcome(_int_lists, value, width) == expected
+            if isinstance(expected, str):
+                rejected += 1
+            else:
+                accepted += 1
+        assert accepted > 300 and rejected > 300
 
 
 class TestCliCommands:

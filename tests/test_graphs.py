@@ -23,7 +23,13 @@ from ramsey_turan import (
     turan,
     turan_partition,
 )
-from ramsey_turan.graphs import _clique_engine, _omega, bit_indices
+from ramsey_turan.graphs import (
+    _clique_engine,
+    _omega,
+    _transpose,
+    _transpose_steps,
+    bit_indices,
+)
 from ramsey_turan.search import enumerate_canonical_graphs, graph_from_canonical
 
 from .conftest import (
@@ -79,7 +85,123 @@ class TestGraphValidation:
         assert sorted(sub.edges()) == [(0, 1), (1, 2)]
 
 
+def bit_loop_validate(n: int, adj) -> None:
+    """Reference validation: the range and self-loop checks per row, then
+    symmetry one adjacency bit at a time."""
+    if not 0 <= n <= 4096:
+        raise ValueError(f"vertex count {n} outside [0, 4096]")
+    if len(adj) != n:
+        raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
+    full = (1 << n) - 1
+    rows = tuple(adj)
+    for v, row in enumerate(rows):
+        if row < 0 or row & ~full:
+            raise ValueError(f"adjacency row {v} has bits outside [0, {n})")
+        if (row >> v) & 1:
+            raise ValueError(f"self-loop at vertex {v}")
+    for v, row in enumerate(rows):
+        for u in bit_indices(row):
+            if not (rows[u] >> v) & 1:
+                raise ValueError(f"asymmetric adjacency between {u} and {v}")
+
+
+def validation_outcome(check, n: int, rows):
+    try:
+        check(n, rows)
+    except Exception as exc:  # the type and the message are both compared
+        return type(exc), str(exc)
+    return None
+
+
+def planted_rows(rng: random.Random, n: int) -> list[int]:
+    """A random symmetric row list with one to three one-sided bits planted
+    and, now and then, an out-of-range bit, a negative row or a self-loop."""
+    rows = list(random_graph(n, rng.random(), rng.randrange(10**6)).adj)
+    pairs = list(combinations(range(n), 2))
+    for pair in rng.sample(pairs, min(len(pairs), rng.randint(1, 3))):
+        u, v = pair if rng.random() < 0.5 else pair[::-1]
+        rows[u] ^= 1 << v
+    if n and rng.random() < 0.1:
+        rows[rng.randrange(n)] |= 1 << (n + rng.randrange(3))
+    if n and rng.random() < 0.1:
+        rows[rng.randrange(n)] = -rng.randint(1, 5)
+    if n and rng.random() < 0.1:
+        v = rng.randrange(n)
+        rows[v] |= 1 << v
+    return rows
+
+
+def cross_block_star(w: int) -> Graph:
+    """Vertex 0 joined to j + 1 for every block size 2 <= j < w (and to 3):
+    each edge (0, c) crosses block size j, while (j, c ^ j) stays a non-edge,
+    so a transpose that skips the swap at j (or garbles it) reads asymmetric."""
+    n = w // 2 + 2
+    blocks = [1 << k for k in range(1, w.bit_length() - 1)]
+    return Graph.from_edges(n, [(0, 3)] + [(0, j + 1) for j in blocks])
+
+
+class TestSymmetryTranspose:
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 70])
+    def test_matches_bit_loop_oracle(self, n):
+        rng = random.Random(1000 + n)
+        for _ in range(150):
+            rows = planted_rows(rng, n)
+            expected = validation_outcome(bit_loop_validate, n, rows)
+            assert validation_outcome(Graph, n, rows) == expected
+            assert expected is not None or n < 2
+
+    @pytest.mark.parametrize("w", [1 << k for k in range(3, 13)])
+    def test_every_width_and_block_size(self, w):
+        g = cross_block_star(w)
+        assert max(8, 1 << (g.n - 1).bit_length()) == w
+        assert Graph(g.n, g.adj) == g
+        for c in bit_indices(g.adj[0]):
+            rows = list(g.adj)
+            rows[c] ^= 1
+            message = f"asymmetric adjacency between {c} and 0"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Graph(g.n, rows)
+
+    @pytest.mark.parametrize("w", [8, 16, 32, 128])
+    def test_transpose_of_random_matrices(self, w):
+        rng = random.Random(w)
+        for _ in range(3):
+            x = rng.getrandbits(w * w)
+            expected = sum(
+                1 << (c * w + r)
+                for r in range(w)
+                for c in range(w)
+                if x >> (r * w + c) & 1
+            )
+            assert _transpose(x, w) == expected
+
+    def test_first_graph_at_the_cap_validates_in_time(self):
+        rng = random.Random(4096)
+        rows = [0] * 4096
+        for _ in range(200_000):
+            u, v = rng.sample(range(4096), 2)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        _transpose_steps.cache_clear()
+        try:
+            start = time.perf_counter()
+            g = Graph(4096, rows)
+            elapsed = time.perf_counter() - start
+        finally:
+            _transpose_steps.cache_clear()
+        assert g.edge_count > 190_000
+        assert elapsed < 1.0
+
+
 class TestVertexPartition:
+    def test_vertex_cap(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="outside"):
+            VertexPartition(4097, [range(4097)])
+        with pytest.raises(ValueError, match="outside"):
+            turan_partition(10**6, 3)
+        assert time.perf_counter() - start < 1.0
+
     def test_repeated_vertex_in_one_part_rejected(self):
         with pytest.raises(ValueError, match="repeated"):
             VertexPartition(3, [[0, 0, 1], [2]])
