@@ -10,15 +10,38 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
+from operator import itemgetter
 
 from .certify import Certificate, CheckRow
 from .graphs import MAX_VERTICES, ColoredGraph, VertexPartition
 
 
+# '0'/'1' digits to the bytes 0/1, the selectors of ``compress``
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(row: int, start: int):
+    """The set bits of ``row`` in ascending order, each plus ``start``."""
+    digits = format(row, "b")[::-1].encode().translate(_DIGITS)
+    return compress(range(start, start + row.bit_length()), digits)
+
+
 def colored_graph_to_dict(cg: ColoredGraph, parts: VertexPartition | None = None) -> dict:
-    two = cg.color_class(2).adj
-    edges = [[u, v, 2 if two[u] >> v & 1 else 1] for u, v in cg.graph.edges()]
+    # row u lists the higher neighbours of u in class one, then in class two,
+    # and a stable sort by the neighbour merges them
+    ones, twos = (c.adj for c in cg.classes)
+    second = itemgetter(1)
+    edges = []
+    for u, (one, two) in enumerate(zip(ones, twos)):
+        one >>= u + 1
+        two >>= u + 1
+        row = [[u, v, 1] for v in _bits(one, u + 1)]
+        if two:
+            row += [[u, v, 2] for v in _bits(two, u + 1)]
+            if one:
+                row.sort(key=second)
+        edges += row
     doc = {"n": cg.n, "edges": edges}
     if parts is not None:
         doc["parts"] = [list(p) for p in parts.parts]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .certify import Certificate, check_rt_witness
 from .graphs import MAX_VERTICES, ColoredGraph, EdgeColoring, Graph, _clique_engine
@@ -99,17 +100,68 @@ def enumerate_canonical_graphs(n: int) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
-def _edge_search(n, pairs, colors, needs, budget):
+def _closes(rows, common, need):
+    """Does the colour class ``rows`` hold a K_need inside the bitset
+    ``common``?  Placing a pair uv in that class closes a K_{need + 2} iff it
+    does, with ``common`` the class's common neighbourhood of u and v.  A
+    K_1 is any vertex and a K_2 any vertex with a neighbour in ``common``;
+    larger cliques go to the shared clique engine."""
+    if need == 1:
+        return common != 0
+    if need == 2:
+        rest = common
+        while rest:
+            low = rest & -rest
+            if rows[low.bit_length() - 1] & common:
+                return True
+            rest ^= low
+        return False
+    return _clique_engine(rows, common, need - 1, need)[0] >= need
+
+
+def _column_pairs(n):
+    """The pairs of K_n in column order: pair (k, v), k < v, has index
+    v(v-1)/2 + k."""
+    return [(k, v) for v in range(n) for k in range(v)]
+
+
+# sb_l compares rows by these ranks of their entries: the order in which
+# ``rt_exact`` tries the colours (edge colours first, non-edges last)
+_RANK = (2, 0, 1)
+# node budget of one sub-search behind a degree cap; an undecided one gives
+# no cap
+_CAP_BUDGET = 10**4
+
+
+def _edge_search(n, pairs, colors, needs, budget, caps=None, floor=0):
     """Iterative backtracking over the colours of ``pairs``.
 
     Pair i gets the colours of ``colors`` in order.  Colour c is allowed on uv
     iff ``needs[c] > 0`` and colour c has no K_{needs[c]} in the common
-    neighbourhood of u and v, i.e. placing uv closes no K_{needs[c] + 2}.
+    neighbourhood of u and v, i.e. placing uv closes no K_{needs[c] + 2}
+    (``_closes``: a bit test for needs 1 and 2, the clique engine above).
     Colour 0 stands for a non-edge and is tried only while it keeps the count
     of zeros below the best completed assignment (branch and bound); a
-    completed assignment becomes the new best and one without zeros ends the
-    search.  Each attempted assignment counts one node.  Returns (best
-    assignment as a colour list or None, search completed, nodes).
+    completed assignment becomes the new best, and one with at most ``floor``
+    zeros ends the search.  Each attempted assignment counts one node.
+
+    With ``caps`` (one degree cap per colour) the pairs are all pairs of K_n
+    in column order and the search adds three exact prunes:
+
+    - no vertex gets more than ``caps[c]`` pairs of colour c; if the caps of
+      a vertex sum to less than n - 1 the search ends at the root;
+    - each vertex needs at least n - 1 - caps[1] - caps[2] non-edges, and a
+      colour-0 placement must leave room for those of every vertex below the
+      best count of zeros;
+    - the lex-leader constraints sb_l of Codish, Miller, Prosser and Stuckey
+      (Constraints 2019) for consecutive rows: row j - 1 is at most row j in
+      lexicographic order of the ``_RANK`` of its entries, ignoring columns
+      j - 1 and j.  Each entry is compared when its pair is placed, so a
+      violated prefix prunes.  Every colouring has a relabelling that meets
+      them, with the same count of zeros.
+
+    Returns (best assignment as a colour list or None, search completed,
+    nodes).
     """
     layers = [[0] * n, [0] * n, [0] * n]
     total = len(pairs)
@@ -120,19 +172,39 @@ def _edge_search(n, pairs, colors, needs, budget):
     best = None
     best_zeros = total + 1
     zeros = nodes = i = k = 0
+    # low: non-edges each vertex needs; twice_lb: the sum over the vertices
+    # of max(non-edges so far, low), twice a lower bound on the final zeros
+    low = twice_lb = 0
+    if caps is not None:
+        if sum(caps) < n - 1:
+            return None, True, 0
+        low = max(0, n - 1 - caps[1] - caps[2])
+        twice_lb = n * low
+        floor = max(floor, (twice_lb + 1) >> 1)
+        # lex[i] = (index of pair (k, v - 1) or -1, row v, row k) for pair (k, v)
+        lex = [
+            ((v - 1) * (v - 2) // 2 + k if k < v - 1 else -1, v, k)
+            for k, v in pairs
+        ]
+        # decided[j] = index of the pair that made row j - 1 < row j in the
+        # current branch; any value >= the current index means "tied so far"
+        decided = [total] * n
+    zero_rows = layers[0]
     while True:
         if i == total:
             best = placed[:]
             best_zeros = zeros
-            if not zeros:
+            if zeros <= floor:
                 return best, True, nodes
-        elif zeros < best_zeros:
+        elif (twice_lb + 1) >> 1 < best_zeros:
             u, v = pairs[i]
             while k < ncolors:
                 c = colors[k]
                 k += 1
-                if not c and zeros + 1 >= best_zeros:
-                    continue
+                if not c:
+                    step = (zero_rows[u].bit_count() >= low) + (zero_rows[v].bit_count() >= low)
+                    if (twice_lb + step + 1) >> 1 >= best_zeros:
+                        continue
                 nodes += 1
                 if nodes > budget:
                     return best, False, nodes
@@ -140,14 +212,32 @@ def _edge_search(n, pairs, colors, needs, budget):
                 if need <= 0:
                     continue
                 rows = layers[c]
+                if caps is not None:
+                    cap = caps[c]
+                    if rows[u].bit_count() >= cap or rows[v].bit_count() >= cap:
+                        continue
+                    a, row_a, row_b = lex[i]
+                    rank = _RANK[c]
+                    if a >= 0 and decided[row_a] >= i:
+                        other = _RANK[placed[a]]
+                        if other > rank:
+                            continue
+                        decided[row_a] = i if other < rank else total
+                    if row_b and decided[row_b] >= i:
+                        other = _RANK[placed[i - 1]]
+                        if other > rank:
+                            continue
+                        decided[row_b] = i if other < rank else total
                 common = rows[u] & rows[v]
-                if common and _clique_engine(rows, common, need - 1, need)[0] >= need:
+                if common and _closes(rows, common, need):
                     continue
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
                 placed[i] = c
                 choice[i] = k
-                zeros += not c
+                if not c:
+                    zeros += 1
+                    twice_lb += step
                 i += 1
                 k = 0
                 break
@@ -162,8 +252,56 @@ def _edge_search(n, pairs, colors, needs, budget):
         rows = layers[c]
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        zeros -= not c
+        if not c:
+            zeros -= 1
+            twice_lb -= (rows[u].bit_count() >= low) + (rows[v].bit_count() >= low)
         k = choice[i]
+
+
+@lru_cache(maxsize=None)
+def _colorable(needs, n):
+    """Does K_n have a 3-colouring of its pairs in which colour c closes no
+    K_{needs[c] + 2}?  None when the sub-search runs out of budget."""
+    pairs = _column_pairs(n)
+    if len(pairs) > _CAP_BUDGET:
+        return None
+    found, exhausted, _ = _edge_search(
+        n, pairs, (1, 2, 0), needs, _CAP_BUDGET, _degree_caps(needs, n), len(pairs)
+    )
+    if found is not None:
+        return True
+    return False if exhausted else None
+
+
+@lru_cache(maxsize=None)
+def _degree_caps(needs, n):
+    """Exact caps on the colour-c degree of any vertex in such a colouring of
+    K_n, one per colour.
+
+    The colour-c neighbourhood of a vertex is itself such a colouring with
+    needs[c] lowered by one, so its order is below the least order N that has
+    none, and the cap is N - 1.  N is searched upwards, up to order n - 1;
+    when it lies beyond, or a sub-search does not complete, the cap is n - 1.
+    A colour with need 0 gets cap 0.
+    """
+    caps = []
+    for c, need in enumerate(needs):
+        if need <= 0:
+            caps.append(0)
+            continue
+        cap = n - 1
+        lowered = tuple(sorted(needs[:c] + (need - 1,) + needs[c + 1 :]))
+        # nested blow-ups of cliques colour K_N with N = prod(need + 1), so
+        # the scan starts above it
+        for order in range(prod(x + 1 for x in lowered) + 1, n):
+            found = _colorable(lowered, order)
+            if found is None:
+                break
+            if not found:
+                cap = order - 1
+                break
+        caps.append(cap)
+    return tuple(caps)
 
 
 @dataclass
@@ -266,16 +404,23 @@ def rt_exact(inst: RtInstance) -> RtResult:
     (color 0).  The edge search branches on the pairs in column order, edge
     colors first, and bounds on the number of non-edges, so the first
     assignment found is a dense lower bound and a completed search proves the
-    fewest non-edges.
+    fewest non-edges.  Three exact prunes keep it small (see
+    ``_edge_search``): a cap on every color degree (the least order of the
+    smaller problem on a color neighbourhood, found by the same search, minus
+    one; R(3,3) - 1 = 5 for p = q = 3 and m = 2, so n = 17 is refuted at the
+    root), a bound on the non-edges each vertex still needs, and the
+    lex-leader row constraints sb_l, which keep one labelling of each graph.
+    ``nodes`` does not count the searches behind the caps.
     """
     n = inst.n
     # a completed assignment costs at least one node per pair, so a smaller
     # budget cannot finish even one graph
     if n * (n - 1) // 2 > inst.budget:
         return RtResult(None, None, False, 0)
-    pairs = [(u, v) for v in range(n) for u in range(v)]
+    pairs = _column_pairs(n)
     needs = (inst.m - 1, inst.p - 2, inst.q - 2)
-    best, exhausted, nodes = _edge_search(n, pairs, (1, 2, 0), needs, inst.budget)
+    caps = _degree_caps(needs, n)
+    best, exhausted, nodes = _edge_search(n, pairs, (1, 2, 0), needs, inst.budget, caps)
     if best is None:
         return RtResult(None, None, exhausted, nodes)
     colored = [(u, v, c) for (u, v), c in zip(pairs, best) if c]

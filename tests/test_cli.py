@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramsey_turan import ColoredGraph, Graph, graph6, pentagonlike
+from ramsey_turan.constructions import Distance, KklParams, construction_37, kkl_36
 from ramsey_turan.cli import cli_dispatch
 from ramsey_turan.jsonio import (
     _int_lists,
@@ -39,6 +40,36 @@ class TestJsonRoundTrip:
         assert doc["n"] == 5
         assert doc["edges"] == sorted(doc["edges"])
         assert colored_graph_from_dict(json.loads(dumps(doc))) == cg
+
+    @staticmethod
+    def per_edge_edges(cg):
+        """The edge list as a walk over ``graph.edges()`` that tests each
+        edge's colour bit."""
+        two = cg.color_class(2).adj
+        return [[u, v, 2 if two[u] >> v & 1 else 1] for u, v in cg.graph.edges()]
+
+    def test_edges_match_per_edge_walk(self):
+        rng = random.Random(12)
+        graphs = [
+            kkl_36(KklParams(n=60, d1=4, m2=4, d2=2)).colored_graph,
+            construction_37(40, 2, Distance.CYCLIC)[0],
+            ColoredGraph.from_colored_edges(0, []),
+            ColoredGraph.from_colored_edges(1, []),
+        ]
+        for n in (2, 5, 9, 40, 70):
+            triples = [
+                (u, v, rng.choice((1, 2)))
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < 0.5
+            ]
+            graphs.append(ColoredGraph.from_colored_edges(n, triples))
+            one_colour = [(u, v, 2) for u, v, _ in triples]
+            graphs.append(ColoredGraph.from_colored_edges(n, one_colour))
+        for cg in graphs:
+            doc = colored_graph_to_dict(cg)
+            expected = {"n": cg.n, "edges": self.per_edge_edges(cg)}
+            assert dumps(doc) == dumps(expected)
 
     def test_certificate(self):
         cert = check_rt_witness(pentagonlike(range(5)), 3, 3, 1)

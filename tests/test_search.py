@@ -2,6 +2,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramsey_turan import (
     ColoredGraph,
@@ -19,7 +21,8 @@ from ramsey_turan import (
     rt_exact,
 )
 from ramsey_turan.constructions import _is_five_cycle
-from ramsey_turan.graphs import MAX_VERTICES
+from ramsey_turan.graphs import MAX_VERTICES, _clique_engine
+from ramsey_turan.search import _closes, _colorable, _degree_caps
 
 from .conftest import naive_has_clique, naive_independence
 
@@ -79,6 +82,51 @@ class TestCanonical:
             assert canonical_form(g) == mask
 
 
+@st.composite
+def closure_cases(draw):
+    """A random symmetric colour class on n <= 12 vertices, a random vertex
+    bitset and a clique size of 1 to 4."""
+    n = draw(st.integers(1, 12))
+    rows = [0] * n
+    for v in range(n):
+        for u in range(v):
+            if draw(st.booleans()):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return rows, draw(st.integers(0, (1 << n) - 1)), draw(st.integers(1, 4))
+
+
+class TestClosure:
+    @settings(max_examples=300, deadline=None)
+    @given(closure_cases())
+    def test_matches_clique_engine(self, case):
+        rows, common, need = case
+        engine = _clique_engine(rows, common, need - 1, need)[0] >= need
+        assert _closes(rows, common, need) == engine
+
+
+def seeded_graph(seed: int) -> Graph:
+    rng = random.Random(seed)
+    n = rng.randint(7, 10)
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.75]
+    )
+
+
+def planted_k6(seed: int) -> Graph:
+    rng = random.Random(seed)
+    k6 = rng.sample(range(8), 6)
+    return Graph.from_edges(
+        8,
+        [
+            (u, v)
+            for u in range(8)
+            for v in range(u + 1, 8)
+            if (u in k6 and v in k6) or rng.random() < 0.4
+        ],
+    )
+
+
 class TestFindFreeColoring:
     def test_k5_yields_pentagonlike(self):
         result = find_free_coloring(Graph.complete(5), 3, 3)
@@ -106,6 +154,33 @@ class TestFindFreeColoring:
         result = find_free_coloring(Graph.complete(6), 3, 3, budget=5)
         assert result.coloring is None
         assert not result.exhausted
+
+    @pytest.mark.parametrize(
+        "graph, p, q, nodes, witness",
+        [
+            (seeded_graph(1), 3, 3, 274, "11122121111222111122"),
+            (seeded_graph(2), 3, 3, 25, "122111121111"),
+            (seeded_graph(3), 3, 4, 33, "12222111111222222222"),
+            (seeded_graph(5), 4, 4, 28, "122111111111111111211121"),
+            (seeded_graph(6), 4, 3, 17, "111111211111211"),
+            (seeded_graph(7), 3, 5, 1286, "12221211112111122222112211211112"),
+            (seeded_graph(8), 2, 4, 18, None),
+            (Graph.complete(6), 3, 3, 1974, None),
+            (Graph.complete(8), 3, 4, 12466, "1112222221122212122121221121"),
+            (planted_k6(11), 3, 3, 1686, None),
+        ],
+    )
+    def test_pinned_nodes_and_witnesses(self, graph, p, q, nodes, witness):
+        # the edge order, the colour order and so the witness and the node
+        # count are part of the interface; the CLI prints the nodes
+        result = find_free_coloring(graph, p, q)
+        assert result.exhausted
+        assert result.nodes == nodes
+        found = result.coloring
+        if witness is None:
+            assert found is None
+        else:
+            assert "".join(str(c) for _, c in sorted(found.colors.items())) == witness
 
     def test_color_swap_symmetry(self):
         for mask in enumerate_canonical_graphs(5):
@@ -210,8 +285,10 @@ class TestRtExact:
                 vals = [value(n, 3, q, m) for q in (3, 4, 5)]
                 assert vals == sorted(vals)
 
-    @pytest.mark.parametrize("p, q", [(3, 3), (3, 4), (2, 4), (2, 5)])
+    @pytest.mark.parametrize("p, q", [(3, 3), (3, 4), (2, 4), (2, 5), (2, 3)])
     def test_matches_canonical_oracle(self, p, q):
+        # (2, 3) with m = 2 forces non-edges: caps (2, 0, 2), so each vertex
+        # of K_5 needs two of them
         # the oracle never runs the edge search: canonical sweep, naive
         # independence number and 2^e brute-force colorings
         for n in range(1, 6):
@@ -230,7 +307,14 @@ class TestRtExact:
 
     @pytest.mark.parametrize(
         "n, p, q, m, value",
-        [(7, 3, 3, 2, 19), (7, 3, 4, 2, 21), (8, 3, 3, 2, 25), (8, 3, 4, 2, 28)],
+        [
+            (7, 3, 3, 2, 19),
+            (7, 3, 4, 2, 21),
+            (8, 3, 3, 2, 25),
+            (8, 3, 4, 2, 28),
+            (9, 3, 4, 2, 35),
+            (9, 3, 3, 2, 32),
+        ],
     )
     def test_pinned_values(self, n, p, q, m, value):
         result = rt_exact(RtInstance(n=n, p=p, q=q, m=m))
@@ -262,3 +346,48 @@ class TestRtExact:
             RtInstance(n=3, p=1, q=3, m=1)
         with pytest.raises(ValueError):
             RtInstance(n=3, p=3, q=3, m=0)
+
+    @pytest.mark.parametrize("n, p, q, m, nodes", [(7, 3, 3, 2, 713), (8, 3, 3, 2, 4378)])
+    def test_pinned_node_counts(self, n, p, q, m, nodes):
+        # 22,240 and 508,747 nodes without degree caps and sb_l; `rturan
+        # search rt` prints the count, so a second call (with the caps
+        # memoized) must repeat it
+        _degree_caps.cache_clear()
+        _colorable.cache_clear()
+        counts = [rt_exact(RtInstance(n=n, p=p, q=q, m=m)).nodes for _ in range(2)]
+        assert counts == [nodes, nodes]
+
+    def test_r333_refuted_at_the_root(self):
+        # every colour degree is at most R(3,3) - 1 = 5, and 3 * 5 < 16
+        result = rt_exact(RtInstance(n=17, p=3, q=3, m=2))
+        assert result == RtResult(None, None, True, 0)
+
+
+class TestDegreeCaps:
+    def test_triangle_free_colours(self):
+        # a colour neighbourhood is a 2-colouring of its pairs without a
+        # monochromatic triangle, so at most R(3,3) - 1 = 5 vertices
+        for n in (6, 9, 16, 17, 40):
+            assert _degree_caps((1, 1, 1), n) == (5, 5, 5)
+        # below order 6 no vertex can exceed n - 1 anyway
+        assert _degree_caps((1, 1, 1), 5) == (4, 4, 4)
+
+    def test_one_k4_free_colour(self):
+        # (p, q, m) = (3, 4, 2): lowering colour 0 or 1 leaves a triangle-free
+        # and a K4-free colour, R(3,4) - 1 = 8; lowering colour 2 leaves
+        # three triangle-free colours, R(3,3,3) = 17 > n - 1
+        assert _degree_caps((1, 1, 2), 9) == (8, 8, 8)
+        assert _degree_caps((1, 1, 2), 10) == (8, 8, 9)
+        assert _degree_caps((1, 1, 2), 12) == (8, 8, 11)
+
+    def test_two_colours(self):
+        # m = 1: colour 0 is unusable; (3, 3) gives R(2,3) - 1 = 2 per
+        # colour, (3, 4) gives R(2,4) - 1 = 3 and R(3,3) - 1 = 5
+        assert _degree_caps((0, 1, 1), 9) == (0, 2, 2)
+        assert _degree_caps((0, 1, 2), 9) == (0, 3, 5)
+        assert _degree_caps((0, 0, 1), 9) == (0, 0, 1)
+
+    def test_colorable_boundaries(self):
+        assert _colorable((0, 1, 1), 5) and not _colorable((0, 1, 1), 6)
+        assert _colorable((0, 1, 2), 8) and not _colorable((0, 1, 2), 9)
+        assert _colorable((1, 1, 1), 9)
