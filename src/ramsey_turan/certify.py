@@ -9,7 +9,6 @@ quadratic in the witness size.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -181,18 +180,10 @@ def mono_triangle_free_count(n: int) -> int:
 
 
 def _ceil_sqrt_fraction(value: Fraction) -> int:
-    """Smallest integer b with b*b >= value."""
+    """Smallest integer b with b*b >= value; b*b >= value iff b*b >= ceil(value)."""
     if value <= 0:
         return 0
-    b = math.isqrt(value.numerator // value.denominator)
-    while Fraction(b * b) < value:
-        b += 1
-    return b
-
-
-def _alpha_in(g: Graph, mask: int) -> int:
-    """Independence number of G[mask] (0 for the empty set)."""
-    return _omega(_complement_rows(g.adj), mask, None)[0]
+    return math.isqrt(math.ceil(value) - 1) + 1
 
 
 class IndependenceCapError(ValueError):
@@ -207,25 +198,23 @@ class IndependenceCapError(ValueError):
 
 @dataclass
 class BipartitionSearchResult:
-    pair: tuple[tuple[int, ...], tuple[int, ...]] | None
-    complete: bool
+    pair: tuple[tuple[int, ...], tuple[int, ...]]
     evaluations: int
     bound: int
 
-    @property
-    def found(self) -> bool:
-        return self.pair is not None
 
+def bipartition_indep_search(cg: ColoredGraph, c) -> BipartitionSearchResult:
+    """Split V into V1 | V2 with alpha(G1[V1]) and alpha(G2[V2]) <= ceil(sqrt(c)*n).
 
-def bipartition_indep_search(
-    cg: ColoredGraph, c, budget: int = 10**6, seed: int = 0
-) -> BipartitionSearchResult:
-    """Search for V1 | V2 with alpha(G1[V1]) and alpha(G2[V2]) <= ceil(sqrt(c)*n).
-
-    Exhaustive over all bipartitions for n <= 20 (subject to the evaluation
-    budget); seeded annealing with exact alpha evaluation above that.  An
-    absent pair with ``complete=False`` means the budget expired, not that no
-    pair exists.
+    Greedy peel, exact whenever alpha(G) <= c*n (checked first): start with
+    R = V and, while G1[R] has an independent set I with |I| > bound, move I
+    out of R; return V1 = R and V2 = the moved vertices.  The loop stops only
+    when alpha(G1[R]) <= bound.  Colour 1 has no edge inside a moved set I, so
+    a G2-independent subset of I is independent in G and alpha(G2[I]) <=
+    alpha(G) <= c*n.  At most n/(bound+1) sets are moved, so alpha(G2[V2]) <=
+    c*n*n/(bound+1) < bound, since bound*bound >= c*n*n.  A pair therefore
+    always exists and is found with at most n/(bound+1) + 1 exact decision
+    queries; ``evaluations`` counts them.
     """
     c = Fraction(c)
     n = cg.n
@@ -233,47 +222,19 @@ def bipartition_indep_search(
     if Fraction(alpha) > c * n:
         raise IndependenceCapError(alpha, c * n, witness)
     bound = _ceil_sqrt_fraction(c * n * n)
-    g1 = cg.color_class(1)
-    g2 = cg.color_class(2)
-    evaluations = 0
+    co1 = _complement_rows(cg.color_class(1).adj)
     full = (1 << n) - 1
-
-    def pair(mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return tuple(bit_indices(mask)), tuple(bit_indices(full ^ mask))
-
-    if n <= 20:
-        complete = True
-        for mask in range(1 << n):
-            if evaluations >= budget:
-                complete = False
-                break
-            evaluations += 1
-            if _alpha_in(g1, mask) <= bound and _alpha_in(g2, full ^ mask) <= bound:
-                return BipartitionSearchResult(pair(mask), True, evaluations, bound)
-        return BipartitionSearchResult(None, complete, evaluations, bound)
-
-    rng = random.Random(seed)
-    mask = rng.getrandbits(n)
-
-    def cost(m: int) -> int:
-        nonlocal evaluations
+    rest = full
+    evaluations = 0
+    while True:
         evaluations += 1
-        return max(0, _alpha_in(g1, m) - bound) + max(0, _alpha_in(g2, full ^ m) - bound)
-
-    current = cost(mask)
-    temp = 2.0
-    while evaluations < budget:
-        if current == 0:
-            return BipartitionSearchResult(pair(mask), False, evaluations, bound)
-        flip = 1 << rng.randrange(n)
-        cand = mask ^ flip
-        cand_cost = cost(cand)
-        if cand_cost <= current or rng.random() < math.exp(
-            (current - cand_cost) / max(temp, 1e-9)
-        ):
-            mask, current = cand, cand_cost
-        temp *= 0.9995
-    return BipartitionSearchResult(None, False, evaluations, bound)
+        size, independent = _omega(co1, rest, bound + 1)
+        if size <= bound:
+            break
+        rest &= ~independent
+    return BipartitionSearchResult(
+        (tuple(bit_indices(rest)), tuple(bit_indices(full ^ rest))), evaluations, bound
+    )
 
 
 @dataclass(frozen=True)
@@ -338,8 +299,9 @@ def audit_partition(
         ]
         for adj in (g1.adj, g2.adj)
     )
-    alpha1 = [_alpha_in(g1, m) for m in masks]
-    alpha2 = [_alpha_in(g2, m) for m in masks]
+    co1, co2 = _complement_rows(g1.adj), _complement_rows(g2.adj)
+    alpha1 = [_omega(co1, m, None)[0] for m in masks]
+    alpha2 = [_omega(co2, m, None)[0] for m in masks]
     inner_delta = [
         max(((g.adj[v] & masks[j]).bit_count() for v in part.parts[j]), default=0)
         for j in range(6)

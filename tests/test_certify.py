@@ -19,6 +19,7 @@ from ramsey_turan import (
     check_colored_free,
     check_rt_witness,
     edge_formula_check,
+    independence_number,
     kkl_36,
     mono_triangle_free_count,
     pentagonlike,
@@ -26,6 +27,7 @@ from ramsey_turan import (
     turan,
     turan_partition,
 )
+from ramsey_turan.certify import _ceil_sqrt_fraction
 from ramsey_turan.search import enumerate_canonical_graphs, graph_from_canonical
 
 from .conftest import (
@@ -185,29 +187,52 @@ class TestCensus:
         assert mono_triangle_free_count(5) == 12
 
 
+def _alpha_table(adj) -> list[int]:
+    """alpha of G[S] for every vertex mask S, by branching on the lowest vertex."""
+    alpha = [0] * (1 << len(adj))
+    for s in range(1, len(alpha)):
+        low = s & -s
+        v = low.bit_length() - 1
+        alpha[s] = max(alpha[s ^ low], 1 + alpha[s & ~adj[v] & ~low])
+    return alpha
+
+
+def sweep_bipartition(alpha1: list[int], alpha2: list[int], bound: int):
+    """Oracle: the lowest mask V1 with alpha(G1[V1]), alpha(G2[V - V1]) <= bound."""
+    full = len(alpha1) - 1
+    for mask in range(full + 1):
+        if alpha1[mask] <= bound and alpha2[full ^ mask] <= bound:
+            return mask
+    return None
+
+
+def assert_valid_bipartition(cg: ColoredGraph, result, alpha=naive_independence):
+    v1, v2 = result.pair
+    assert sorted(v1 + v2) == list(range(cg.n))
+    for side, cls in ((v1, cg.color_class(1)), (v2, cg.color_class(2))):
+        if side:
+            assert alpha(cls.induced(side)) <= result.bound
+    assert result.evaluations <= cg.n // (result.bound + 1) + 1
+
+
 class TestBipartitionSearch:
     def test_pentagonlike(self):
-        result = bipartition_indep_search(pentagonlike(range(5)), Fraction(1, 5))
-        assert result.found
-        assert result.bound == 3  # ceil(sqrt(5))
-        v1, v2 = result.pair
         cg = pentagonlike(range(5))
-        from ramsey_turan import independence_number
-
-        for side, cls in ((v1, cg.color_class(1)), (v2, cg.color_class(2))):
-            if side:
-                assert independence_number(cls.induced(side))[0] <= result.bound
+        result = bipartition_indep_search(cg, Fraction(1, 5))
+        assert result.bound == 3  # ceil(sqrt(5))
+        assert_valid_bipartition(cg, result)
 
     def test_t12_pentagon_pattern(self):
-        result = bipartition_indep_search(pentagon_pattern_t12(), Fraction(1, 6))
-        assert result.found
+        cg = pentagon_pattern_t12()
+        result = bipartition_indep_search(cg, Fraction(1, 6))
         assert result.bound == 5
+        assert_valid_bipartition(cg, result)
 
     def test_edgeless_vacuous(self):
         cg = ColoredGraph(Graph.empty(4), EdgeColoring({}))
         result = bipartition_indep_search(cg, Fraction(1))
-        assert result.found
         assert result.bound == 4
+        assert_valid_bipartition(cg, result)
 
     def test_precondition_error_names_witness(self):
         cg = all_one_coloring(Graph.cycle(5))
@@ -216,14 +241,49 @@ class TestBipartitionSearch:
         assert_independent(Graph.cycle(5), err.value.witness)
         assert len(err.value.witness) == 2
 
-    def test_budget_exhaustion_is_flagged(self):
-        cg = all_one_coloring(Graph.complete(8), 1)
-        # bound floor: with c=1/8, bound = ceil(sqrt(8)) = 3; V1 must hold all
-        # color-1 structure; tiny budget stops early without concluding
-        result = bipartition_indep_search(cg, Fraction(1, 8), budget=2)
-        assert result.evaluations <= 2
-        if not result.found:
-            assert not result.complete
+    def test_agrees_with_sweep_oracle(self):
+        # c = alpha(G)/n, the least c the precondition allows.  Random
+        # colourings of K_n often leave both colour classes over the bound,
+        # so neither V1 = V nor V2 = V works and the split is not trivial.
+        rng = random.Random(13)
+        hard = 0
+        for trial in range(80):
+            n = rng.randint(6, 14)
+            density = rng.random() if trial % 4 == 0 else 1.0
+            edges = [e for e in combinations(range(n), 2) if rng.random() < density]
+            cg = ColoredGraph(
+                Graph.from_edges(n, edges),
+                EdgeColoring({e: rng.choice((1, 2)) for e in edges}),
+            )
+            c = Fraction(_alpha_table(cg.graph.adj)[-1], n)
+            result = bipartition_indep_search(cg, c)
+            alpha1, alpha2 = (_alpha_table(cg.color_class(k).adj) for k in (1, 2))
+            assert sweep_bipartition(alpha1, alpha2, result.bound) is not None
+            assert_valid_bipartition(cg, result)
+            hard += min(alpha1[-1], alpha2[-1]) > result.bound
+        assert hard >= 5
+
+    def test_kkl240_peel(self):
+        n = 240
+        cg = kkl_36(KklParams(n=n, d1=16, m2=16, d2=8)).colored_graph
+        c = Fraction(independence_number(cg.graph)[0], n)
+        start = time.perf_counter()
+        result = bipartition_indep_search(cg, c)
+        assert time.perf_counter() - start < 1.0
+        assert_valid_bipartition(cg, result, alpha=lambda g: independence_number(g)[0])
+
+
+class TestCeilSqrtFraction:
+    def test_matches_smallest_square_above(self):
+        for q in range(1, 41):
+            for p in range(401):
+                b = 0
+                while b * b * q < p:
+                    b += 1
+                assert _ceil_sqrt_fraction(Fraction(p, q)) == b, (p, q)
+
+    def test_nonpositive_is_zero(self):
+        assert _ceil_sqrt_fraction(Fraction(-3, 2)) == 0
 
 
 class TestAuditPartition:

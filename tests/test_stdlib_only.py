@@ -25,3 +25,12 @@ def test_every_absolute_import_is_stdlib():
     assert imported - sys.stdlib_module_names == set()
     # guard against a parse that finds nothing
     assert {"fractions", "json", "argparse"} <= imported
+
+
+def test_certify_has_no_randomized_search():
+    # certify issues verdicts; a seeded heuristic there would make a "not
+    # found" prove nothing
+    certify = next(path for path in SOURCES if path.name == "certify.py")
+    imported = absolute_imports(certify)
+    assert "fractions" in imported
+    assert "random" not in imported
