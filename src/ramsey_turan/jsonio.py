@@ -77,16 +77,23 @@ def _vertex_count(doc: dict) -> int:
     return n
 
 
+def _check_object(doc, what: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} document must be a JSON object")
+
+
 def colored_graph_from_dict(doc: dict) -> ColoredGraph:
+    _check_object(doc, "colored-graph")
     try:
         n = _vertex_count(doc)
         edges = doc["edges"]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise ValueError(f"colored-graph document missing field: {exc}") from exc
     return ColoredGraph.from_colored_edges(n, _int_lists(edges, "'edges'", 3))
 
 
 def partition_from_dict(doc: dict) -> VertexPartition:
+    _check_object(doc, "partition")
     if "parts" not in doc:
         raise ValueError("document carries no 'parts' field")
     return VertexPartition(_vertex_count(doc), _int_lists(doc["parts"], "'parts'"))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from .certify import Certificate, check_rt_witness
 from .graphs import MAX_VERTICES, ColoredGraph, EdgeColoring, Graph, _clique_engine
 
 
@@ -388,11 +387,6 @@ class RtResult:
     witness: ColoredGraph | None
     exhausted: bool
     nodes: int
-
-    def certificate(self, inst: RtInstance) -> Certificate | None:
-        if self.witness is None:
-            return None
-        return check_rt_witness(self.witness, inst.p, inst.q, inst.m)
 
 
 def rt_exact(inst: RtInstance) -> RtResult:

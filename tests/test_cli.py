@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import random
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from ramsey_turan import ColoredGraph, Graph, graph6, pentagonlike
 from ramsey_turan.constructions import Distance, KklParams, construction_37, kkl_36
-from ramsey_turan.cli import cli_dispatch
+from ramsey_turan.cli import _build_parser, cli_dispatch
 from ramsey_turan.jsonio import (
     _int_lists,
     _is_int,
@@ -23,6 +24,7 @@ from ramsey_turan.jsonio import (
     colored_graph_from_dict,
     colored_graph_to_dict,
     dumps,
+    partition_from_dict,
 )
 from ramsey_turan.certify import check_rt_witness
 
@@ -78,6 +80,12 @@ class TestJsonRoundTrip:
         assert back.status == cert.status
         assert [c.name for c in back.checks] == [c.name for c in cert.checks]
         assert back.witness == cert.witness
+
+    @pytest.mark.parametrize("doc", [[], "x", 5, ["parts"]])
+    def test_partition_of_non_object_rejected(self, doc):
+        # the CLI reads the colored graph first; this is the library path
+        with pytest.raises(ValueError, match="partition document must be a JSON object"):
+            partition_from_dict(doc)
 
 
 class Colour(IntEnum):
@@ -198,9 +206,12 @@ class TestCliCommands:
         assert doc["status"] == "fail"
         assert len(doc["witness"]) == 5
 
-    def test_seed_flag_accepted_globally(self, capsys):
-        code, out = run(capsys, "--seed", "7", "verify", "census")
-        assert code == 0 and json.loads(out)["survivors"] == 12
+    def test_seed_flag_is_a_usage_error(self, capsys):
+        # there are no global options
+        code = cli_dispatch(["--seed", "7", "verify", "census"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
 
     def test_failing_certificate_exit_code(self, capsys, tmp_path):
         code, out = run(
@@ -290,6 +301,9 @@ class TestCliCommands:
             ("audit", {"n": 6, "edges": [], "parts": 5}),
             ("audit", {"n": 12, "edges": [],
                        "parts": [[0, 0, 0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11]]}),
+            ("free", []),
+            ("free", "x"),
+            ("audit", 5),
         ],
     )
     def test_malformed_documents_exit_2(self, capsys, tmp_path, what, doc):
@@ -300,6 +314,8 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+        if not isinstance(doc, dict):
+            assert err == "error: colored-graph document must be a JSON object\n"
 
     def test_successive_dispatches_are_independent(self, capsys):
         code, first = run(capsys, "report", "table", "--delta", "1/10")
@@ -309,6 +325,50 @@ class TestCliCommands:
         assert cli_dispatch(["report", "table", "--delta"]) == 2
         assert capsys.readouterr().out == ""
         assert run(capsys, "report", "table", "--delta", "1/10") == (0, first)
+
+    @pytest.mark.parametrize(
+        "argv, build",
+        [
+            (["kkl36", "--n", "60", "--d1", "4", "--m2", "4", "--d2", "2"],
+             lambda: kkl_36(KklParams(n=60, d1=4, m2=4, d2=2)).colored_graph),
+            (["c37", "--n", "40", "--d", "2"],
+             lambda: construction_37(40, 2, Distance.CYCLIC)[0]),
+        ],
+        ids=["kkl36", "c37"],
+    )
+    def test_colored_construction_as_graph6(self, capsys, argv, build):
+        code, out = run(capsys, "construct", *argv, "--format", "graph6")
+        assert code == 0
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert graph6.decode(out.strip()) == build().graph
+
+        code = cli_dispatch(["construct", *argv, "--format", "graph6", "--with-parts"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --with-parts needs --format json\n"
+
+    def test_verify_reads_stdin_for_dash(self, capsys):
+        text = dumps(colored_graph_to_dict(pentagonlike(range(5))))
+        with mock.patch.object(sys, "stdin", io.StringIO(text)):
+            code, out = run(capsys, "verify", "free", "--p", "3", "--q", "3", "--input", "-")
+        assert code == 0
+        assert json.loads(out)["status"] == "pass"
+
+    def test_every_leaf_binds_a_handler(self):
+        def leaves(parser, path=()):
+            groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not groups:
+                yield " ".join(path), parser
+                return
+            for name, child in groups[0].choices.items():
+                yield from leaves(child, (*path, name))
+
+        found = dict(leaves(_build_parser()))
+        assert len(found) == 17
+        assert {"construct kkl36", "verify census", "search rt", "qp g", "report gaps"} <= set(found)
+        for path, parser in found.items():
+            assert callable(parser.get_default("run")), path
 
     def test_fgraph_stats_on_stderr(self, capsys):
         code = cli_dispatch(["construct", "fgraph", "--m", "10", "--d", "4"])
