@@ -72,7 +72,7 @@ def _colored(build):
         if args.format == "graph6":
             return _write(graph6.encode(cg.graph) + "\n")
         parts = partition if args.with_parts else None
-        return _write(jsonio.dumps(jsonio.colored_graph_to_dict(cg, parts)))
+        return _write(jsonio.colored_graph_json(cg, parts))
 
     return run
 
@@ -135,9 +135,8 @@ def _coloring(args) -> int:
     result = find_free_coloring(g, args.p, args.q, args.budget)
     if result.coloring is None:
         doc = {"found": False, "exhausted": result.exhausted, "nodes": result.nodes}
-    else:
-        doc = jsonio.colored_graph_to_dict(ColoredGraph(g, result.coloring))
-    return _write(jsonio.dumps(doc))
+        return _write(jsonio.dumps(doc))
+    return _write(jsonio.colored_graph_json(ColoredGraph(g, result.coloring)))
 
 
 def _qp(solve) -> int:

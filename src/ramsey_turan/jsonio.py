@@ -9,9 +9,9 @@ Exact rationals are rendered as fraction strings.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, compress
-from operator import itemgetter
 
 from .certify import Certificate, CheckRow
 from .graphs import MAX_VERTICES, ColoredGraph, VertexPartition
@@ -21,31 +21,37 @@ from .graphs import MAX_VERTICES, ColoredGraph, VertexPartition
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _bits(row: int, start: int):
-    """The set bits of ``row`` in ascending order, each plus ``start``."""
-    digits = format(row, "b")[::-1].encode().translate(_DIGITS)
-    return compress(range(start, start + row.bit_length()), digits)
+def colored_graph_json(cg: ColoredGraph, parts: VertexPartition | None = None) -> str:
+    """The canonical document of ``cg`` (with ``parts`` if given) as text,
+    trailing newline included, written straight from the class rows.
 
-
-def colored_graph_to_dict(cg: ColoredGraph, parts: VertexPartition | None = None) -> dict:
-    # row u lists the higher neighbours of u in class one, then in class two,
-    # and a stable sort by the neighbour merges them
+    ``tails[2v + c - 1]`` is the text ``v,c]`` of an edge to v in colour c.
+    For the higher neighbours of row u, the class-one and class-two digits
+    (lowest vertex first) are interleaved into one selector per tail, so
+    ``compress`` picks each edge's tail in order of v and ``join`` writes the
+    row; no per-edge list or encoder call is made.
+    """
+    tails = [f"{v},{c}]" for v in range(cg.n) for c in (1, 2)]
     ones, twos = (c.adj for c in cg.classes)
-    second = itemgetter(1)
-    edges = []
+    rows = []
     for u, (one, two) in enumerate(zip(ones, twos)):
         one >>= u + 1
         two >>= u + 1
-        row = [[u, v, 1] for v in _bits(one, u + 1)]
-        if two:
-            row += [[u, v, 2] for v in _bits(two, u + 1)]
-            if one:
-                row.sort(key=second)
-        edges += row
-    doc = {"n": cg.n, "edges": edges}
+        width = (one | two).bit_length()
+        if width:
+            digits = bytearray(2 * width)
+            digits[0::2] = format(one, f"0{width}b")[::-1].encode()
+            digits[1::2] = format(two, f"0{width}b")[::-1].encode()
+            edges = compress(tails[2 * u + 2:], digits.translate(_DIGITS))
+            rows.append(f"[{u}," + f",[{u},".join(edges))
+    text = '{"edges":[' + ",".join(rows) + '],"n":' + str(cg.n)
     if parts is not None:
-        doc["parts"] = [list(p) for p in parts.parts]
-    return doc
+        text += ',"parts":' + json.dumps(parts.parts, separators=(",", ":"))
+    return text + "}\n"
+
+
+def colored_graph_to_dict(cg: ColoredGraph, parts: VertexPartition | None = None) -> dict:
+    return json.loads(colored_graph_json(cg, parts))
 
 
 def _is_int(value) -> bool:
@@ -82,13 +88,20 @@ def _check_object(doc, what: str) -> None:
         raise ValueError(f"{what} document must be a JSON object")
 
 
+@contextmanager
+def _fields(what: str):
+    """A missing field read in the block raises ``ValueError`` naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{what} document missing field: {exc}") from exc
+
+
 def colored_graph_from_dict(doc: dict) -> ColoredGraph:
     _check_object(doc, "colored-graph")
-    try:
+    with _fields("colored-graph"):
         n = _vertex_count(doc)
         edges = doc["edges"]
-    except KeyError as exc:
-        raise ValueError(f"colored-graph document missing field: {exc}") from exc
     return ColoredGraph.from_colored_edges(n, _int_lists(edges, "'edges'", 3))
 
 
@@ -96,7 +109,9 @@ def partition_from_dict(doc: dict) -> VertexPartition:
     _check_object(doc, "partition")
     if "parts" not in doc:
         raise ValueError("document carries no 'parts' field")
-    return VertexPartition(_vertex_count(doc), _int_lists(doc["parts"], "'parts'"))
+    with _fields("partition"):
+        n = _vertex_count(doc)
+    return VertexPartition(n, _int_lists(doc["parts"], "'parts'"))
 
 
 def _jsonable(value):
@@ -129,12 +144,15 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_dict(doc: dict) -> Certificate:
-    checks = [
-        CheckRow(c["name"], c["measured"], c["bound"], c["verdict"])
-        for c in doc["checks"]
-    ]
+    _check_object(doc, "certificate")
+    with _fields("certificate"):
+        rows = doc["checks"]
+        if not isinstance(rows, list) or not all(isinstance(c, dict) for c in rows):
+            raise ValueError("'checks' must be a list of JSON objects")
+        checks = [CheckRow(c["name"], c["measured"], c["bound"], c["verdict"]) for c in rows]
+        status = doc["status"]
     witness = tuple(doc["witness"]) if doc.get("witness") is not None else None
-    return Certificate(doc["status"], checks, witness, doc.get("params", {}))
+    return Certificate(status, checks, witness, doc.get("params", {}))
 
 
 def dumps(doc: dict) -> str:

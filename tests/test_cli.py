@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import random
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramsey_turan import ColoredGraph, Graph, graph6, pentagonlike
+from ramsey_turan import ColoredGraph, Graph, VertexPartition, graph6, pentagonlike
 from ramsey_turan.constructions import Distance, KklParams, construction_37, kkl_36
 from ramsey_turan.cli import _build_parser, cli_dispatch
 from ramsey_turan.jsonio import (
@@ -22,6 +23,7 @@ from ramsey_turan.jsonio import (
     certificate_from_dict,
     certificate_to_dict,
     colored_graph_from_dict,
+    colored_graph_json,
     colored_graph_to_dict,
     dumps,
     partition_from_dict,
@@ -57,6 +59,19 @@ class TestJsonRoundTrip:
             construction_37(40, 2, Distance.CYCLIC)[0],
             ColoredGraph.from_colored_edges(0, []),
             ColoredGraph.from_colored_edges(1, []),
+            # the widest row: edges at vertex 4095 of a 4096-vertex graph
+            ColoredGraph.from_colored_edges(
+                4096, [(0, 1, 1), (0, 4095, 2), (17, 4095, 1), (4094, 4095, 2)]
+            ),
+            # trailing isolated vertices
+            ColoredGraph.from_colored_edges(12, [(0, 1, 2), (1, 3, 1), (2, 4, 2)]),
+            # colour-2 neighbours before and after colour-1 ones, and rows of
+            # one colour only (row 1 colour 1, row 2 colour 2)
+            ColoredGraph.from_colored_edges(
+                9,
+                [(0, 1, 2), (0, 2, 1), (0, 3, 2), (0, 4, 1), (0, 5, 1), (0, 8, 2),
+                 (1, 6, 1), (1, 7, 1), (2, 5, 2), (2, 6, 2)],
+            ),
         ]
         for n in (2, 5, 9, 40, 70):
             triples = [
@@ -69,9 +84,14 @@ class TestJsonRoundTrip:
             one_colour = [(u, v, 2) for u, v, _ in triples]
             graphs.append(ColoredGraph.from_colored_edges(n, one_colour))
         for cg in graphs:
-            doc = colored_graph_to_dict(cg)
             expected = {"n": cg.n, "edges": self.per_edge_edges(cg)}
-            assert dumps(doc) == dumps(expected)
+            assert colored_graph_json(cg) == dumps(expected)
+            assert colored_graph_to_dict(cg) == expected
+            assert json.loads(colored_graph_json(cg)) == colored_graph_to_dict(cg)
+            parts = VertexPartition(cg.n, [range(0, cg.n, 2), range(1, cg.n, 2)])
+            expected["parts"] = [list(p) for p in parts.parts]
+            assert colored_graph_json(cg, parts) == dumps(expected)
+            assert colored_graph_to_dict(cg, parts) == expected
 
     def test_certificate(self):
         cert = check_rt_witness(pentagonlike(range(5)), 3, 3, 1)
@@ -86,6 +106,23 @@ class TestJsonRoundTrip:
         # the CLI reads the colored graph first; this is the library path
         with pytest.raises(ValueError, match="partition document must be a JSON object"):
             partition_from_dict(doc)
+
+    def test_partition_without_vertex_count_rejected(self):
+        with pytest.raises(ValueError, match="partition document missing field: 'n'"):
+            partition_from_dict({"parts": []})
+
+    def test_certificate_of_non_object_rejected(self):
+        with pytest.raises(ValueError, match="certificate document must be a JSON object"):
+            certificate_from_dict([])
+
+    def test_certificate_check_without_name_rejected(self):
+        with pytest.raises(ValueError, match="certificate document missing field: 'name'"):
+            certificate_from_dict({"checks": [{}]})
+
+    @pytest.mark.parametrize("checks", [5, "name", [5], [{"name": "x"}, []]])
+    def test_certificate_checks_not_objects_rejected(self, checks):
+        with pytest.raises(ValueError, match="'checks' must be a list of JSON objects"):
+            certificate_from_dict({"checks": checks, "status": "pass"})
 
 
 class Colour(IntEnum):
@@ -375,6 +412,46 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert code == 0
         assert "achieved degree 4" in captured.err
+
+
+# stdout of colored-graph commands, pinned as (bytes, sha256) of the output
+# printed when the document was still built as per-edge lists and encoded by json
+GOLDEN_CONSTRUCTIONS = {
+    "construct kkl36 --n 60 --d1 4 --m2 4 --d2 2 --with-parts": (
+        15821, "dbe367dabd8de26b6fae71e896e7be949f337cf5a50e3c66ecff17b6558baa84"),
+    "construct kkl36 --n 480 --d1 32 --m2 32 --d2 16 --with-parts": (
+        1194652, "18f6150f7a859001ea5ae2669dae8c1e4e19384520c48ff3696276f7d2cbf2e7"),
+    "construct kkl36 --n 120 --d1 8 --m2 8 --d2 4 --variant text": (
+        65660, "810aa5199c240a9c2752054c3b7854b9e598e7519ad7733d7c8610340698b2f0"),
+    "construct c37 --n 160 --d 7 --distance literal": (
+        124970, "bf0530a5bb6d3e8d22b849990a9ecd4d3e03c023f396df2773892d0fa470bf45"),
+}
+
+GOLDEN_SEARCHES = {
+    # C5 has a (3,3)-free colouring; K6 has none
+    "search coloring --p 3 --q 3 --g6 Dhc":
+        '{"edges":[[0,1,1],[0,4,1],[1,2,1],[2,3,1],[3,4,1]],"n":5}\n',
+    "search coloring --p 3 --q 3 --g6 E~~w":
+        '{"exhausted":true,"found":false,"nodes":1974}\n',
+    "search rt --n 5 --p 3 --q 3 --m 1":
+        '{"exhausted":true,"nodes":24,"value":10,"witness":{"edges":[[0,1,1],[0,2,1],'
+        '[0,3,2],[0,4,2],[1,2,2],[1,3,1],[1,4,2],[2,3,2],[2,4,1],[3,4,1]],"n":5}}\n',
+    "search rt --n 6 --p 3 --q 3 --m 1":
+        '{"exhausted":true,"nodes":0,"value":null,"witness":null}\n',
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("command", list(GOLDEN_CONSTRUCTIONS))
+    def test_construction_bytes(self, capsys, command):
+        code, out = run(capsys, *command.split())
+        assert code == 0
+        data = out.encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == GOLDEN_CONSTRUCTIONS[command]
+
+    @pytest.mark.parametrize("command", list(GOLDEN_SEARCHES))
+    def test_search_output(self, capsys, command):
+        assert run(capsys, *command.split()) == (0, GOLDEN_SEARCHES[command])
 
 
 class TestCliContract:
