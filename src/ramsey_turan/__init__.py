@@ -42,7 +42,6 @@ from .graphs import (
     crossing_edge_count,
     find_clique,
     independence_number,
-    max_cut_partition,
     min_crossing_degree,
     min_degree_refinement,
 )

@@ -16,7 +16,6 @@ never hit the interpreter's recursion limit.
 from __future__ import annotations
 
 import functools
-import random
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -749,55 +748,6 @@ def crossing_edge_count(g: Graph, part: VertexPartition) -> int:
         for v in bit_indices(mask):
             inner += (g.adj[v] & mask).bit_count()
     return g.edge_count - inner // 2
-
-
-def max_cut_partition(g: Graph, p: int, seed: int = 0) -> VertexPartition:
-    """Locally max-cut p-partition via steepest single-vertex moves.
-
-    The result is 1-move locally optimal: relocating any one vertex does not
-    increase the crossing edge count.  Deterministic for a fixed seed; ties
-    between equal-gain moves break on (vertex index, part index).
-    """
-    if p < 2:
-        raise ValueError("max-cut partition needs p >= 2")
-    if g.n < p:
-        raise ValueError(f"p={p} exceeds vertex count {g.n}")
-    rng = random.Random(seed)
-    order = list(range(g.n))
-    rng.shuffle(order)
-    assign = [0] * g.n
-    for slot, v in enumerate(order):
-        assign[v] = slot % p
-    masks = [0] * p
-    for v, i in enumerate(assign):
-        masks[i] |= 1 << v
-
-    while True:
-        best_gain = 0
-        best_move = None
-        for v in range(g.n):
-            i = assign[v]
-            row = g.adj[v]
-            d_own = (row & masks[i]).bit_count()
-            for j in range(p):
-                if j == i:
-                    continue
-                gain = d_own - (row & masks[j]).bit_count()
-                if gain > best_gain:
-                    best_gain = gain
-                    best_move = (v, j)
-        if best_move is None:
-            break
-        v, j = best_move
-        bit = 1 << v
-        masks[assign[v]] ^= bit
-        masks[j] |= bit
-        assign[v] = j
-
-    parts = [[] for _ in range(p)]
-    for v, i in enumerate(assign):
-        parts[i].append(v)
-    return VertexPartition(g.n, parts)
 
 
 def min_degree_refinement(

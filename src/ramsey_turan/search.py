@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from .graphs import MAX_VERTICES, ColoredGraph, EdgeColoring, Graph, _clique_engine
+from .graphs import MAX_VERTICES, ColoredGraph, EdgeColoring, Graph, _check_order, _clique_engine
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -147,8 +147,8 @@ def _edge_search(n, pairs, colors, needs, budget, caps=None, floor=0):
     With ``caps`` (one degree cap per colour) the pairs are all pairs of K_n
     in column order and the search adds three exact prunes:
 
-    - no vertex gets more than ``caps[c]`` pairs of colour c; if the caps of
-      a vertex sum to less than n - 1 the search ends at the root;
+    - no vertex gets more than ``caps[c]`` pairs of colour c (caps that sum
+      to less than n - 1 leave no colouring; the caller ends at the root);
     - each vertex needs at least n - 1 - caps[1] - caps[2] non-edges, and a
       colour-0 placement must leave room for those of every vertex below the
       best count of zeros;
@@ -175,8 +175,6 @@ def _edge_search(n, pairs, colors, needs, budget, caps=None, floor=0):
     # of max(non-edges so far, low), twice a lower bound on the final zeros
     low = twice_lb = 0
     if caps is not None:
-        if sum(caps) < n - 1:
-            return None, True, 0
         low = max(0, n - 1 - caps[1] - caps[2])
         twice_lb = n * low
         floor = max(floor, (twice_lb + 1) >> 1)
@@ -257,16 +255,25 @@ def _edge_search(n, pairs, colors, needs, budget, caps=None, floor=0):
         k = choice[i]
 
 
+def _complete_search(n, needs, budget, floor=0):
+    """``_edge_search`` over all pairs of K_n in column order, edge colours
+    first, with the exact degree caps of ``needs``.  A completed assignment
+    costs at least one node per pair, so a budget below the pair count
+    returns incomplete at once with 0 nodes; caps that sum to less than
+    n - 1 refute K_n at the root, before any pair is listed."""
+    if n * (n - 1) // 2 > budget:
+        return None, False, 0
+    caps = _degree_caps(needs, n)
+    if sum(caps) < n - 1:
+        return None, True, 0
+    return _edge_search(n, _column_pairs(n), (1, 2, 0), needs, budget, caps, floor)
+
+
 @lru_cache(maxsize=None)
-def _colorable(needs, n):
+def _colorable(needs, n, budget=_CAP_BUDGET):
     """Does K_n have a 3-colouring of its pairs in which colour c closes no
-    K_{needs[c] + 2}?  None when the sub-search runs out of budget."""
-    pairs = _column_pairs(n)
-    if len(pairs) > _CAP_BUDGET:
-        return None
-    found, exhausted, _ = _edge_search(
-        n, pairs, (1, 2, 0), needs, _CAP_BUDGET, _degree_caps(needs, n), len(pairs)
-    )
+    K_{needs[c] + 2}?  None when the search runs out of budget."""
+    found, exhausted, _ = _complete_search(n, needs, budget, n * (n - 1) // 2)
     if found is not None:
         return True
     return False if exhausted else None
@@ -280,15 +287,15 @@ def _degree_caps(needs, n):
     The colour-c neighbourhood of a vertex is itself such a colouring with
     needs[c] lowered by one, so its order is below the least order N that has
     none, and the cap is N - 1.  N is searched upwards, up to order n - 1;
-    when it lies beyond, or a sub-search does not complete, the cap is n - 1.
-    A colour with need 0 gets cap 0.
+    when it lies beyond, or a sub-search does not complete, the cap is n - 1
+    (0 on K_0, which has no vertex to cap).  A colour with need 0 gets cap 0.
     """
     caps = []
     for c, need in enumerate(needs):
         if need <= 0:
             caps.append(0)
             continue
-        cap = n - 1
+        cap = max(n - 1, 0)
         lowered = tuple(sorted(needs[:c] + (need - 1,) + needs[c + 1 :]))
         # nested blow-ups of cliques colour K_N with N = prod(need + 1), so
         # the scan starts above it
@@ -343,17 +350,22 @@ def find_free_coloring(
 def ramsey_verify(p: int, q: int, n: int, budget: int = 10**6) -> bool:
     """Does K_n admit a coloring with no K_p in color 1 and no K_q in color 2?
 
-    False answers are proofs (the backtracking completed); running out of
-    budget raises instead of guessing.
+    This is ``rt_exact``'s edge search with no non-edges allowed: exact color
+    degree caps and lex-leader symmetry breaking over the pairs of K_n.  A
+    False answer is a completed capped search, so it is a proof; running out
+    of budget (or a budget below the pair count) raises instead of guessing.
     """
-    result = find_free_coloring(Graph.complete(n), p, q, budget)
-    if result.coloring is not None:
-        return True
-    if not result.exhausted:
+    _check_order(n)
+    if p < 2 or q < 2:
+        raise ValueError("clique sizes must be >= 2")
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    found = _colorable((0, p - 2, q - 2), n, budget)
+    if found is None:
         raise SearchBudgetExceeded(
             f"budget {budget} exhausted before deciding ({p},{q}) on K_{n}"
         )
-    return False
+    return found
 
 
 @dataclass(frozen=True)
@@ -407,16 +419,10 @@ def rt_exact(inst: RtInstance) -> RtResult:
     ``nodes`` does not count the searches behind the caps.
     """
     n = inst.n
-    # a completed assignment costs at least one node per pair, so a smaller
-    # budget cannot finish even one graph
-    if n * (n - 1) // 2 > inst.budget:
-        return RtResult(None, None, False, 0)
-    pairs = _column_pairs(n)
     needs = (inst.m - 1, inst.p - 2, inst.q - 2)
-    caps = _degree_caps(needs, n)
-    best, exhausted, nodes = _edge_search(n, pairs, (1, 2, 0), needs, inst.budget, caps)
+    best, exhausted, nodes = _complete_search(n, needs, inst.budget)
     if best is None:
         return RtResult(None, None, exhausted, nodes)
-    colored = [(u, v, c) for (u, v), c in zip(pairs, best) if c]
+    colored = [(u, v, c) for (u, v), c in zip(_column_pairs(n), best) if c]
     witness = ColoredGraph.from_colored_edges(n, colored)
     return RtResult(len(colored), witness, exhausted, nodes)

@@ -191,6 +191,12 @@ class TestCliCommands:
         code, out = run(capsys, "search", "ramsey", "--p", "3", "--q", "3", "--n", "5")
         assert out.strip() == "true"
 
+    def test_ramsey_capped_search(self, capsys):
+        code, out = run(capsys, "search", "ramsey", "--p", "3", "--q", "4", "--n", "9")
+        assert (code, out) == (0, "false\n")
+        code, out = run(capsys, "search", "ramsey", "--p", "3", "--q", "4", "--n", "0")
+        assert (code, out) == (0, "true\n")
+
     def test_construct_verify_pipeline(self, capsys, tmp_path):
         code, out = run(
             capsys,

@@ -17,7 +17,6 @@ from ramsey_turan import (
     crossing_edge_count,
     find_clique,
     independence_number,
-    max_cut_partition,
     min_crossing_degree,
     min_degree_refinement,
     turan,
@@ -534,72 +533,6 @@ class TestMinCrossingDegree:
     def test_single_part_rejected(self):
         with pytest.raises(ValueError):
             min_crossing_degree(Graph.cycle(5), VertexPartition(5, [range(5)]))
-
-
-def one_move_locally_optimal(g: Graph, part: VertexPartition) -> bool:
-    base = crossing_edge_count(g, part)
-    for v in range(g.n):
-        i = part.part_of(v)
-        for j in range(part.p):
-            if j == i:
-                continue
-            moved = [list(p) for p in part.parts]
-            moved[i].remove(v)
-            moved[j].append(v)
-            if crossing_edge_count(g, VertexPartition(g.n, moved)) > base:
-                return False
-    return True
-
-
-class TestMaxCut:
-    def test_local_optimality_and_determinism(self):
-        for g in (Graph.cycle(4), Graph.cycle(5), petersen(), turan(9, 3)):
-            for p in (2, 3):
-                a = max_cut_partition(g, p, seed=7)
-                b = max_cut_partition(g, p, seed=7)
-                assert a == b
-                assert all(len(part) > 0 for part in a.parts)
-                assert one_move_locally_optimal(g, a)
-
-    def test_c4_against_enumeration(self):
-        # oracle: every bipartition of C4, classified by local optimality.
-        # Local optima come in two cut values (2 and 4), so the search is
-        # only guaranteed to land on one of them; the global value 4 is
-        # reached from some seeds.
-        g = Graph.cycle(4)
-        local_cuts = set()
-        for mask in range(1 << 4):
-            parts = [
-                [v for v in range(4) if (mask >> v) & 1],
-                [v for v in range(4) if not (mask >> v) & 1],
-            ]
-            if not parts[0] or not parts[1]:
-                continue
-            part = VertexPartition(4, parts)
-            if one_move_locally_optimal(g, part):
-                local_cuts.add(crossing_edge_count(g, part))
-        assert local_cuts == {2, 4}
-        seen = {
-            crossing_edge_count(g, max_cut_partition(g, 2, seed=s))
-            for s in range(8)
-        }
-        assert seen <= local_cuts
-        assert 4 in seen
-
-    def test_k3_three_singletons(self):
-        part = max_cut_partition(Graph.complete(3), 3, seed=0)
-        assert sorted(len(p) for p in part.parts) == [1, 1, 1]
-        assert crossing_edge_count(Graph.complete(3), part) == 3
-
-    def test_edgeless(self):
-        part = max_cut_partition(Graph.empty(4), 2, seed=1)
-        assert crossing_edge_count(Graph.empty(4), part) == 0
-
-    def test_argument_errors(self):
-        with pytest.raises(ValueError):
-            max_cut_partition(Graph.cycle(4), 5)
-        with pytest.raises(ValueError):
-            max_cut_partition(Graph.cycle(4), 1)
 
 
 class TestMinDegreeRefinement:

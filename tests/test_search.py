@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -225,13 +226,39 @@ class TestRamseyVerify:
                 assert ramsey_verify(2, q, n) == (n < q)
 
     def test_below_known_boundary(self):
-        # r(3,4) = 9, so K8 still admits a coloring (proving K9 does not
-        # takes ~3*10^7 nodes and stays out of the default suite)
+        # r(3,4) = 9, so K8 still admits a coloring
         assert ramsey_verify(3, 4, 8) is True
 
+    @pytest.mark.parametrize(
+        "p, q, n, expected",
+        # r(3,4) = 9, r(3,5) = 14 and r(4,4) = 18 (Radziszowski, "Small
+        # Ramsey Numbers", EJC DS1); the caps refute (3,5,14) and (4,4,18)
+        # at the root
+        [(3, 4, 9, False), (3, 5, 13, True), (3, 5, 14, False), (4, 4, 18, False)],
+    )
+    def test_known_boundaries(self, p, q, n, expected):
+        start = time.perf_counter()
+        assert ramsey_verify(p, q, n) is expected
+        assert time.perf_counter() - start < 1.0
+
+    def test_agrees_with_plain_search(self):
+        # the uncapped free-coloring search on K_n completes on all 81 cases
+        for p in (2, 3, 4):
+            for q in (2, 3, 4):
+                for n in range(9):
+                    plain = find_free_coloring(Graph.complete(n), p, q)
+                    assert plain.exhausted
+                    assert ramsey_verify(p, q, n) == (plain.coloring is not None)
+
     def test_budget_exhaustion_raises(self):
+        # a budget below the 15 pairs of K6 cannot finish one colouring
         with pytest.raises(SearchBudgetExceeded):
             ramsey_verify(3, 3, 6, budget=3)
+
+    def test_budget_exhaustion_inside_search(self):
+        # 100 nodes cover the 36 pairs of K9 but not the refutation
+        with pytest.raises(SearchBudgetExceeded):
+            ramsey_verify(3, 4, 9, budget=100)
 
 
 class TestRtExact:
@@ -386,6 +413,12 @@ class TestDegreeCaps:
         assert _degree_caps((0, 1, 1), 9) == (0, 2, 2)
         assert _degree_caps((0, 1, 2), 9) == (0, 3, 5)
         assert _degree_caps((0, 0, 1), 9) == (0, 0, 1)
+
+    def test_empty_host(self):
+        # K_0 has no vertex to cap, so no cap is negative and its empty
+        # colouring is found
+        assert _degree_caps((1, 1, 1), 0) == (0, 0, 0)
+        assert _colorable((0, 1, 1), 0)
 
     def test_colorable_boundaries(self):
         assert _colorable((0, 1, 1), 5) and not _colorable((0, 1, 1), 6)

@@ -28,9 +28,10 @@ def test_every_absolute_import_is_stdlib():
 
 
 def test_certify_has_no_randomized_search():
-    # certify issues verdicts; a seeded heuristic there would make a "not
-    # found" prove nothing
-    certify = next(path for path in SOURCES if path.name == "certify.py")
-    imported = absolute_imports(certify)
-    assert "fractions" in imported
-    assert "random" not in imported
+    # the package issues verdicts; a seeded heuristic in it would make a "not
+    # found" prove nothing.  qp.py is the one exception: its float lattice
+    # cross-check stays until the benchmark's peak RSS stops growing with its
+    # pass count, which removing the ascent would breach (ROADMAP items 1, 6)
+    imported = {path.name: absolute_imports(path) for path in SOURCES}
+    assert "fractions" in imported["certify.py"]
+    assert {name for name, names in imported.items() if "random" in names} == {"qp.py"}
