@@ -135,14 +135,20 @@ _CAP_BUDGET = 10**4
 def _edge_search(n, pairs, colors, needs, budget, caps=None, floor=0):
     """Iterative backtracking over the colours of ``pairs``.
 
-    Pair i gets the colours of ``colors`` in order.  Colour c is allowed on uv
-    iff ``needs[c] > 0`` and colour c has no K_{needs[c]} in the common
-    neighbourhood of u and v, i.e. placing uv closes no K_{needs[c] + 2}
-    (``_closes``: a bit test for needs 1 and 2, the clique engine above).
-    Colour 0 stands for a non-edge and is tried only while it keeps the count
-    of zeros below the best completed assignment (branch and bound); a
-    completed assignment becomes the new best, and one with at most ``floor``
-    zeros ends the search.  Each attempted assignment counts one node.
+    Pair i gets the colours of ``colors`` in order, colour 1 before colour 2.
+    Colour c is allowed on uv iff ``needs[c] > 0`` and colour c has no
+    K_{needs[c]} in the common neighbourhood of u and v, i.e. placing uv
+    closes no K_{needs[c] + 2} (``_closes``: a bit test for needs 1 and 2,
+    the clique engine above).  Colour 0 stands for a non-edge and is tried
+    only while it keeps the count of zeros below the best completed
+    assignment (branch and bound); a completed assignment becomes the new
+    best, and one with at most ``floor`` zeros ends the search.  Each
+    attempted assignment counts one node; a colour with need 0 is skipped
+    before it is counted.
+
+    When ``needs[1] == needs[2]`` colours 1 and 2 are interchangeable, and
+    colour 2 is skipped (and not counted) while every pair placed so far is
+    a non-edge: the first pair that is not a non-edge takes colour 1.
 
     With ``caps`` (one degree cap per colour) the pairs are all pairs of K_n
     in column order and the search adds three exact prunes:
@@ -156,8 +162,45 @@ def _edge_search(n, pairs, colors, needs, budget, caps=None, floor=0):
       (Constraints 2019) for consecutive rows: row j - 1 is at most row j in
       lexicographic order of the ``_RANK`` of its entries, ignoring columns
       j - 1 and j.  Each entry is compared when its pair is placed, so a
-      violated prefix prunes.  Every colouring has a relabelling that meets
-      them, with the same count of zeros.
+      violated prefix prunes.
+
+    The colour swap and sb_l are sound together.  Order assignments x (one
+    colour per pair, in the order of ``pairs``) lexicographically by the
+    ``_RANK`` of their entries, the order in which ``colors`` tries them.
+
+    1. sb_l on rows j - 1 and j is x <= tau(x) for the vertex transposition
+       tau = (j - 1 j).  tau fixes the pair (j - 1, j) and exchanges (k, j - 1)
+       with (k, j) for k < j - 1 and (j - 1, v) with (j, v) for v > j.  In
+       column order the first pair where x and tau(x) can differ is in column
+       j - 1, where (k, j - 1) compares row j - 1 with row j at column k; if
+       all of column j - 1 ties, so does column j, which holds the same
+       entries exchanged.  Each later column v then compares (j - 1, v), that
+       is row j - 1 with row j at column v, before its mirror (j, v).  So the
+       comparison runs over columns k < j - 1, then j + 1, ..., n - 1: the
+       row comparison of sb_l.
+    2. swap exchanges colours 1 and 2 and fixes non-edges, so x and swap(x)
+       first differ at the first pair of x that is not a non-edge, and
+       x <= swap(x) iff that pair has colour 1, of lower rank than colour 2.
+    3. Colours are tried in increasing rank, so assignments are completed in
+       increasing lex order.  Apart from the two constraints the search
+       prunes only assignments that break a need or a cap (both exact, so no
+       valid assignment breaks them) and prefixes whose lower bound on the
+       zeros reaches the best count so far.  Suppose a valid assignment
+       exists, let t be the larger of ``floor`` and the fewest zeros of one,
+       and let w be the lex-least valid assignment with at most t zeros that
+       passes the constraints.  Every completion before w has more than t
+       zeros, so the best count stays above t and the bound never prunes a
+       prefix of w; once w completes it ends the search (at most ``floor``
+       zeros) or has the fewest zeros and is never replaced.  So the search
+       returns w.  The valid assignments with at most t zeros are closed
+       under Sym(n) x <swap>: relabelling the vertices of K_n keeps needs,
+       caps and zeros, and swap keeps them when needs[1] == needs[2], since
+       then caps[1] == caps[2].  So the lex-least of them is the least of its
+       orbit: x <= tau(x) and x <= swap(x) hold for it, and it is w.
+    4. Hence a completed search returns the lex-least valid assignment with
+       at most t zeros, or None when there is no valid assignment, with or
+       without either constraint (without caps only the swap applies, and
+       the same argument runs with <swap> alone); only node counts fall.
 
     Returns (best assignment as a colour list or None, search completed,
     nodes).
@@ -187,6 +230,7 @@ def _edge_search(n, pairs, colors, needs, budget, caps=None, floor=0):
         # current branch; any value >= the current index means "tied so far"
         decided = [total] * n
     zero_rows = layers[0]
+    swap = needs[1] == needs[2]
     while True:
         if i == total:
             best = placed[:]
@@ -198,6 +242,9 @@ def _edge_search(n, pairs, colors, needs, budget, caps=None, floor=0):
             while k < ncolors:
                 c = colors[k]
                 k += 1
+                need = needs[c]
+                if need <= 0 or c == 2 and swap and zeros == i:
+                    continue
                 if not c:
                     step = (zero_rows[u].bit_count() >= low) + (zero_rows[v].bit_count() >= low)
                     if (twice_lb + step + 1) >> 1 >= best_zeros:
@@ -205,9 +252,6 @@ def _edge_search(n, pairs, colors, needs, budget, caps=None, floor=0):
                 nodes += 1
                 if nodes > budget:
                     return best, False, nodes
-                need = needs[c]
-                if need <= 0:
-                    continue
                 rows = layers[c]
                 if caps is not None:
                     cap = caps[c]
@@ -330,8 +374,11 @@ def find_free_coloring(
     in color 2.
 
     Edges are processed by descending endpoint degree sum (ties by vertex
-    pair) and color 1 is tried first, so witnesses are reproducible.  Each
-    attempted edge-color assignment counts one node against the budget.
+    pair) and color 1 is tried first, so witnesses are reproducible: the
+    witness is the lexicographically least coloring in that order.  When
+    p = q the colors are interchangeable and the first edge takes color 1
+    only, which halves the nodes of a refutation and keeps the witness.
+    Each attempted edge-color assignment counts one node against the budget.
     """
     if p < 2 or q < 2:
         raise ValueError("clique sizes must be >= 2")
@@ -351,9 +398,10 @@ def ramsey_verify(p: int, q: int, n: int, budget: int = 10**6) -> bool:
     """Does K_n admit a coloring with no K_p in color 1 and no K_q in color 2?
 
     This is ``rt_exact``'s edge search with no non-edges allowed: exact color
-    degree caps and lex-leader symmetry breaking over the pairs of K_n.  A
-    False answer is a completed capped search, so it is a proof; running out
-    of budget (or a budget below the pair count) raises instead of guessing.
+    degree caps and lex-leader symmetry breaking over the pairs of K_n, with
+    the color swap when p = q.  A False answer is a completed capped search,
+    so it is a proof; running out of budget (or a budget below the pair
+    count) raises instead of guessing.
     """
     _check_order(n)
     if p < 2 or q < 2:
@@ -416,7 +464,11 @@ def rt_exact(inst: RtInstance) -> RtResult:
     one; R(3,3) - 1 = 5 for p = q = 3 and m = 2, so n = 17 is refuted at the
     root), a bound on the non-edges each vertex still needs, and the
     lex-leader row constraints sb_l, which keep one labelling of each graph.
-    ``nodes`` does not count the searches behind the caps.
+    When p = q colors 1 and 2 are interchangeable, and the first pair that
+    is not a non-edge takes color 1.  Neither symmetry constraint changes the
+    value or the witness, the lex-least optimum in the search order (proof
+    in ``_edge_search``).  ``nodes`` does not count the searches behind the
+    caps.
     """
     n = inst.n
     needs = (inst.m - 1, inst.p - 2, inst.q - 2)

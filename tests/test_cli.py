@@ -437,10 +437,12 @@ GOLDEN_SEARCHES = {
     # C5 has a (3,3)-free colouring; K6 has none
     "search coloring --p 3 --q 3 --g6 Dhc":
         '{"edges":[[0,1,1],[0,4,1],[1,2,1],[2,3,1],[3,4,1]],"n":5}\n',
+    # 1974 nodes before the colour swap
     "search coloring --p 3 --q 3 --g6 E~~w":
-        '{"exhausted":true,"found":false,"nodes":1974}\n',
+        '{"exhausted":true,"found":false,"nodes":987}\n',
+    # 24 nodes while colour 0 (need 0 at m = 1) cost a node per attempt
     "search rt --n 5 --p 3 --q 3 --m 1":
-        '{"exhausted":true,"nodes":24,"value":10,"witness":{"edges":[[0,1,1],[0,2,1],'
+        '{"exhausted":true,"nodes":21,"value":10,"witness":{"edges":[[0,1,1],[0,2,1],'
         '[0,3,2],[0,4,2],[1,2,2],[1,3,1],[1,4,2],[2,3,2],[2,4,1],[3,4,1]],"n":5}}\n',
     "search rt --n 6 --p 3 --q 3 --m 1":
         '{"exhausted":true,"nodes":0,"value":null,"witness":null}\n',
