@@ -17,7 +17,6 @@ from .certify import (
 )
 from .constructions import (
     ConstructionError,
-    DensityPoint,
     Distance,
     FGraphResult,
     KklConstruction,

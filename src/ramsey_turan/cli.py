@@ -88,7 +88,10 @@ def _certificate(check):
         else:
             with open(args.input) as fh:
                 text = fh.read()
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON document nested too deeply") from None
         cert = check(args, doc, jsonio.colored_graph_from_dict(doc))
         _write(jsonio.dumps(jsonio.certificate_to_dict(cert)))
         return 0 if cert.passed else CERT_FAIL

@@ -23,7 +23,6 @@ from .graphs import (
     bit_indices,
     independence_number,
 )
-from .report import bounds_36
 
 
 class ConstructionError(ValueError):
@@ -264,26 +263,6 @@ class KklParams:
     def delta_n(self) -> Fraction:
         """Independence scale implied by m2 = n/6 - 3*delta*n/2."""
         return Fraction(2 * (self.n // 6 - self.m2), 3)
-
-
-@dataclass(frozen=True)
-class DensityPoint:
-    """Edge-density coefficients (of n^2) bracketing an extremal value."""
-
-    p: int
-    q: int
-    delta: Fraction
-    lower_bound: Fraction
-    upper_bound: Fraction
-
-    def __post_init__(self):
-        if self.lower_bound > self.upper_bound:
-            raise ValueError("lower bound exceeds upper bound")
-
-    @classmethod
-    def for_36(cls, delta) -> "DensityPoint":
-        lower, upper = bounds_36(delta)
-        return cls(p=3, q=6, delta=Fraction(delta), lower_bound=lower, upper_bound=upper)
 
 
 @dataclass

@@ -2,13 +2,18 @@
 
 One graph per text line.  The vertex count is encoded first (one byte for
 n <= 62, '~' plus three bytes for larger n), then the upper triangle of the
-adjacency matrix in column order, packed big-endian into 6-bit groups offset
-by 63.
+adjacency matrix in column order, first pair most significant, packed into
+6-bit groups offset by 63.  ``_triangle`` and ``_triangle_rows`` are the one
+writer and reader of that bit string; ``search``'s canonical masks are the
+same string read as one integer.
 """
 
 from __future__ import annotations
 
-from .graphs import MAX_VERTICES, Graph
+from .graphs import MAX_VERTICES, Graph, _transpose
+
+_CHARS = {format(k, "06b"): chr(k + 63) for k in range(64)}
+_BITS = {k + 63: format(k, "06b") for k in range(64)}
 
 
 class Graph6Error(ValueError):
@@ -19,38 +24,39 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-def _triangle_bits(g: Graph):
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            yield (col >> i) & 1
+def _triangle(rows) -> str:
+    """The upper triangle of the symmetric ``rows`` as '0'/'1' text: column
+    j lists pairs (0, j), ..., (j - 1, j), which are row j's low j bits."""
+    return "".join([format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, len(rows))])
+
+
+def _triangle_rows(n: int, bits: str) -> list[int]:
+    """Symmetric adjacency rows of the n-vertex triangle text ``bits``
+    (inverse of ``_triangle``; text past the n(n-1)/2 pairs is ignored)."""
+    lower = [0] * n
+    start = 0
+    for j in range(1, n):
+        lower[j] = int(bits[start:start + j][::-1], 2)
+        start += j
+    w = max(8, 1 << (n - 1).bit_length())
+    size = w // 8
+    packed = int.from_bytes(b"".join([r.to_bytes(size, "little") for r in lower]), "little")
+    data = (packed | _transpose(packed, w)).to_bytes(n * size, "little")
+    return [int.from_bytes(data[k:k + size], "little") for k in range(0, n * size, size)]
 
 
 def encode(g: Graph) -> str:
     """Encode a graph as a graph6 line (without trailing newline)."""
-    if g.n > MAX_VERTICES:
-        raise ValueError(f"graph too large to encode: n={g.n}")
-    out = []
-    if g.n <= 62:
-        out.append(chr(g.n + 63))
+    n = g.n
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph too large to encode: n={n}")
+    if n <= 62:
+        head = chr(n + 63)
     else:
-        out.append("~")
-        out.append(chr(((g.n >> 12) & 0x3F) + 63))
-        out.append(chr(((g.n >> 6) & 0x3F) + 63))
-        out.append(chr((g.n & 0x3F) + 63))
-    group = 0
-    filled = 0
-    for bit in _triangle_bits(g):
-        group = (group << 1) | bit
-        filled += 1
-        if filled == 6:
-            out.append(chr(group + 63))
-            group = 0
-            filled = 0
-    if filled:
-        group <<= 6 - filled
-        out.append(chr(group + 63))
-    return "".join(out)
+        head = "~" + "".join(chr(((n >> s) & 0x3F) + 63) for s in (12, 6, 0))
+    bits = _triangle(g.adj)
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join([_CHARS[bits[k:k + 6]] for k in range(0, len(bits), 6)])
 
 
 def decode(line: str) -> Graph:
@@ -84,18 +90,10 @@ def decode(line: str) -> Graph:
             f"expected {nbytes} adjacency bytes for n={n}, got {len(s) - idx}",
             min(len(s), idx + nbytes),
         )
-    data = [ord(ch) - 63 for ch in s[idx:]]
-    if data and data[-1] & ((1 << (6 * nbytes - nbits)) - 1):
+    bits = s[idx:].translate(_BITS)
+    if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits", len(s) - 1)
-    rows = [0] * n
-    t = 0
-    for j in range(1, n):  # column by column, in _triangle_bits order
-        for i in range(j):
-            if data[t // 6] >> (5 - t % 6) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            t += 1
-    return Graph(n, rows)
+    return Graph(n, _triangle_rows(n, bits))
 
 
 def write_lines(graphs) -> str:

@@ -211,12 +211,6 @@ class VertexPartition:
     def p(self) -> int:
         return len(self.parts)
 
-    def part_of(self, v: int) -> int:
-        for i, mask in enumerate(self.masks):
-            if (mask >> v) & 1:
-                return i
-        raise ValueError(f"vertex {v} not covered")
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, VertexPartition)

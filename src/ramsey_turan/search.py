@@ -3,7 +3,9 @@ backtracking, and exact extremal edge counts at desk scale.
 
 Everything here is self-contained exhaustive search — no heuristics and no
 external canonical-labeling dependency — so results double as independent
-checks of the construction and certification modules.
+checks of the construction and certification modules.  A canonical mask is
+the graph6 triangle bit string read as one integer, so ``graph6``'s reader
+decodes it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
+from .graph6 import _triangle_rows
 from .graphs import MAX_VERTICES, ColoredGraph, EdgeColoring, Graph, _check_order, _clique_engine
 
 
@@ -59,43 +62,30 @@ def canonical_form(g: Graph) -> int:
 
 
 def graph_from_canonical(n: int, mask: int) -> Graph:
-    """Inverse of the canonical bit layout (column-major upper triangle)."""
+    """Inverse of the canonical bit layout: ``mask`` is the graph6 triangle
+    (column-major upper triangle) read as one integer."""
     nbits = n * (n - 1) // 2
-    rows = [0] * n
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (mask >> (nbits - 1 - pos)) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
-    return Graph(n, rows)
+    if mask < 0 or mask >> nbits:
+        raise ValueError(f"mask {mask} outside [0, 2^{nbits})")
+    return Graph(n, _triangle_rows(n, format(mask, f"0{nbits}b")))
 
 
 @lru_cache(maxsize=None)
 def enumerate_canonical_graphs(n: int) -> tuple[int, ...]:
     """All isomorphism classes of n-vertex graphs as canonical masks.
 
-    Built by extending each (n-1)-vertex class with every possible
-    neighborhood for a new vertex and canonicalizing; practical for n <= 8.
+    Built by appending every possible column (the neighborhood of a new
+    last vertex) to the mask of each (n-1)-vertex class and canonicalizing;
+    practical for n <= 8.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
         return (0,)
-    smaller = enumerate_canonical_graphs(n - 1)
     found = set()
-    for mask in smaller:
-        base = graph_from_canonical(n - 1, mask)
-        rows = list(base.adj) + [0]
-        for nbhd in range(1 << (n - 1)):
-            rows[n - 1] = nbhd
-            for v in range(n - 1):
-                if (nbhd >> v) & 1:
-                    rows[v] |= 1 << (n - 1)
-                else:
-                    rows[v] &= ~(1 << (n - 1))
-            found.add(canonical_form(Graph(n, rows)))
+    for mask in enumerate_canonical_graphs(n - 1):
+        for column in range(1 << (n - 1)):
+            found.add(canonical_form(graph_from_canonical(n, (mask << (n - 1)) | column)))
     return tuple(sorted(found))
 
 

@@ -448,6 +448,13 @@ GOLDEN_SEARCHES = {
         '{"exhausted":true,"nodes":0,"value":null,"witness":null}\n',
 }
 
+# stdout of `qp f` and `qp g`, pinned as sha256 from when the lattice ascent
+# also drew 50 seeded uniform starts, none of which ranked among its 25 starts
+GOLDEN_QP = {
+    "qp f": "64ca4874d29f673c3a6f3c5ddf536d68c86c012d7557608866037c961b7be13e",
+    "qp g": "4de7456a77ea1fa8124b9cc64c90de6b75ff1e0851a860606a15a837be934335",
+}
+
 
 class TestGoldenOutputs:
     @pytest.mark.parametrize("command", list(GOLDEN_CONSTRUCTIONS))
@@ -461,8 +468,32 @@ class TestGoldenOutputs:
     def test_search_output(self, capsys, command):
         assert run(capsys, *command.split()) == (0, GOLDEN_SEARCHES[command])
 
+    @pytest.mark.parametrize("command", list(GOLDEN_QP))
+    def test_qp_output(self, capsys, command):
+        code, out = run(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_QP[command]
+
 
 class TestCliContract:
+    @pytest.mark.parametrize("text", [
+        "[" * 100000,
+        '{"n": 3, "edges": [], "parts": ' + "[" * 5000 + "]" * 5000 + "}",
+    ], ids=["unclosed", "deep-parts"])
+    @pytest.mark.parametrize("argv", [
+        ["free", "--p", "3", "--q", "3"],
+        ["witness", "--p", "3", "--q", "3", "--m", "2"],
+        ["formula", "--formula", "kkl36", "--delta", "1/10", "--tol", "1/10"],
+        ["audit", "--gamma", "1/5"],
+    ], ids=lambda argv: argv[0])
+    def test_deeply_nested_json_exits_2(self, capsys, argv, text):
+        with mock.patch.object(sys, "stdin", io.StringIO(text)):
+            code = cli_dispatch(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: JSON document nested too deeply\n"
+
     def test_budget_exhaustion_exits_2(self, capsys):
         code = cli_dispatch(["search", "ramsey", "--p", "3", "--q", "3", "--n", "6",
                              "--budget", "3"])

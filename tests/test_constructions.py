@@ -5,7 +5,6 @@ import pytest
 
 from ramsey_turan import (
     ConstructionError,
-    DensityPoint,
     Distance,
     Graph,
     KklParams,
@@ -24,6 +23,7 @@ from ramsey_turan import (
     turan,
 )
 from ramsey_turan.constructions import _blowup_options, turan_part_sizes
+from ramsey_turan.report import bounds_36
 
 from .conftest import assert_independent, naive_has_clique
 
@@ -178,7 +178,7 @@ class TestKkl36:
         # oracle tally: 1500 multipartite + 5*20 planted + 15 sixth-part inner
         assert stats["edges"] == 1500 + 100 + 15 == 1615
         assert stats["rule_edges"] == {1: 500, 2: 100, 3: 10, 4: 1005}
-        target = DensityPoint.for_36(Fraction(1, 15)).lower_bound * 60 * 60
+        target = bounds_36(Fraction(1, 15))[0] * 60 * 60
         assert target == 1652
         assert abs(stats["edges"] - target) / Fraction(3600) < Fraction(2, 100)
 
@@ -307,16 +307,3 @@ class TestConstruction37:
     def test_unrealizable_degree_rejected(self):
         with pytest.raises(ConstructionError):
             construction_37(40, 3)
-
-
-class TestDensityPoint:
-    def test_36_bounds(self):
-        d = DensityPoint.for_36(Fraction(1, 10))
-        base = Fraction(5, 12) + Fraction(1, 20)
-        assert d.lower_bound == base + Fraction(2, 100)
-        assert d.upper_bound == base + Fraction(841, 40000)
-        assert d.lower_bound <= d.upper_bound
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            DensityPoint(3, 6, Fraction(0), Fraction(1, 2), Fraction(1, 3))

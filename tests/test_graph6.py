@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -6,6 +7,7 @@ import pytest
 
 from ramsey_turan import Graph, Graph6Error, turan
 from ramsey_turan.graph6 import decode, encode, read_lines, write_lines
+from ramsey_turan.search import graph_from_canonical
 
 from .conftest import petersen
 
@@ -14,6 +16,51 @@ def random_graph(n: int, density: float, rng: random.Random) -> Graph:
     return Graph.from_edges(
         n, [e for e in combinations(range(n), 2) if rng.random() < density]
     )
+
+
+# Reference codec, bit by bit: the triangle is the pairs (i, j), i < j, in
+# column order (j outer, i inner), first pair most significant.
+
+
+def reference_encode(g: Graph) -> str:
+    out = [chr(g.n + 63)] if g.n <= 62 else [
+        "~", chr(((g.n >> 12) & 0x3F) + 63), chr(((g.n >> 6) & 0x3F) + 63), chr((g.n & 0x3F) + 63)
+    ]
+    group = filled = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            group = (group << 1) | ((g.adj[j] >> i) & 1)
+            filled += 1
+            if filled == 6:
+                out.append(chr(group + 63))
+                group = filled = 0
+    if filled:
+        out.append(chr((group << (6 - filled)) + 63))
+    return "".join(out)
+
+
+def reference_rows(n: int, bit) -> list[int]:
+    """Rows of the n-vertex triangle whose t-th pair is present iff ``bit(t)``."""
+    rows = [0] * n
+    t = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bit(t):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            t += 1
+    return rows
+
+
+def reference_decode(line: str) -> Graph:
+    """Decode a well-formed graph6 line."""
+    if line[0] == "~":
+        n = ((ord(line[1]) - 63) << 12) | ((ord(line[2]) - 63) << 6) | (ord(line[3]) - 63)
+        data = [ord(ch) - 63 for ch in line[4:]]
+    else:
+        n = ord(line[0]) - 63
+        data = [ord(ch) - 63 for ch in line[1:]]
+    return Graph(n, reference_rows(n, lambda t: data[t // 6] >> (5 - t % 6) & 1))
 
 
 def test_k3_matches_format_definition():
@@ -36,7 +83,9 @@ def test_round_trip_1000_random_graphs():
     for _ in range(1000):
         n = rng.randint(1, 60)
         g = random_graph(n, rng.random(), rng)
-        assert decode(encode(g)) == g
+        line = encode(g)
+        assert line == reference_encode(g)
+        assert decode(line) == reference_decode(line) == g
 
 
 def test_large_round_trip_is_fast():
@@ -46,13 +95,34 @@ def test_large_round_trip_is_fast():
     assert time.perf_counter() - start < 3
 
 
+def test_turan_lines_pinned():
+    # sha256 of the lines the bit-by-bit codec wrote
+    for n, digest in (
+        (240, "fbd4f51922758ad8232a392ad252d31ae3da8d638300ebbd5354692703c4859e"),
+        (1000, "eb37dfb16485568012fc133a04aa464f6646ae2bdeb8285f93f03f3fc6901114"),
+    ):
+        assert hashlib.sha256(encode(turan(n, 6)).encode()).hexdigest() == digest
+
+
 def test_long_form_vertex_count():
     rng = random.Random(7)
-    for n in (63, 64, 100):
+    for n in (0, 1, 62, 63, 64, 100):
         g = random_graph(n, 0.2, rng)
         line = encode(g)
-        assert line.startswith("~")
-        assert decode(line) == g
+        assert line.startswith("~") == (n > 62)
+        assert line == reference_encode(g)
+        assert decode(line) == reference_decode(line) == g
+
+
+def test_canonical_masks_match_reference():
+    for n in range(6):
+        nbits = n * (n - 1) // 2
+        for mask in range(1 << nbits):
+            rows = reference_rows(n, lambda t: (mask >> (nbits - 1 - t)) & 1)
+            assert graph_from_canonical(n, mask).adj == tuple(rows)
+    for mask in (-1, 1 << 10):
+        with pytest.raises(ValueError, match="outside"):
+            graph_from_canonical(5, mask)
 
 
 def test_empty_line_rejected():

@@ -3,7 +3,6 @@ from fractions import Fraction as Fr
 import pytest
 
 from ramsey_turan import (
-    DensityPoint,
     ReportRow,
     bound_gap_report,
     edge_formula_check,
@@ -60,6 +59,16 @@ class TestReferenceTable:
         with pytest.raises(ValueError):
             ReportRow(3, 3, Fr(1, 10), Fr(1, 4), Fr(1, 4), "Table1")
 
+    def test_36_bounds_at_one_tenth(self):
+        lower, upper = bounds_36(Fr(1, 10))
+        base = Fr(5, 12) + Fr(1, 20)
+        assert lower == base + Fr(2, 100)
+        assert upper == base + Fr(841, 40000)
+
+    def test_row_rejects_lower_above_upper(self):
+        with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
+            ReportRow(3, 6, Fr(0), Fr(1, 2), Fr(1, 3), "Construction")
+
     @pytest.mark.parametrize("delta", [Fr(0), Fr(1), Fr(2), Fr(-1, 10)])
     def test_delta_outside_unit_interval_rejected(self, delta):
         with pytest.raises(ValueError, match="outside"):
@@ -89,7 +98,7 @@ class TestBoundGapReport:
             bound_gap_report([Fr(1)])
 
     def test_consistency_with_36_bounds(self):
-        # the formula check and DensityPoint read the one copy in report
+        # the gap report and the formula check read the one copy in report
         cg = pentagonlike(range(5))
         n2 = cg.n * cg.n
         for delta in (Fr(1, 100), Fr(3, 100), Fr(1, 15), Fr(1, 10)):
@@ -99,8 +108,6 @@ class TestBoundGapReport:
             for formula, bounds in (("kkl36", bounds_36), ("c37", bounds_37)):
                 cert = edge_formula_check(cg, formula, delta, 1)
                 assert cert.params["target"] == bounds(delta)[0] * n2
-            point = DensityPoint.for_36(delta)
-            assert (point.lower_bound, point.upper_bound) == bounds_36(delta)
 
 
 class TestCsv:

@@ -29,9 +29,8 @@ def test_every_absolute_import_is_stdlib():
 
 def test_certify_has_no_randomized_search():
     # the package issues verdicts; a seeded heuristic in it would make a "not
-    # found" prove nothing.  qp.py is the one exception: its float lattice
-    # cross-check stays until the benchmark's peak RSS stops growing with its
-    # pass count, which removing the ascent would breach (ROADMAP items 1, 6)
+    # found" prove nothing.  The QP float cross-check starts from the
+    # coordinate lattice alone, so no module draws random numbers
     imported = {path.name: absolute_imports(path) for path in SOURCES}
     assert "fractions" in imported["certify.py"]
-    assert {name for name, names in imported.items() if "random" in names} == {"qp.py"}
+    assert {name for name, names in imported.items() if "random" in names} == set()
