@@ -193,6 +193,18 @@ def f_graph(m: int, d_target: int) -> FGraphResult:
     )
 
 
+def _exact_f_graph(m: int, d: int, name: str) -> FGraphResult:
+    """``f_graph(m, d)`` when it is exactly d-regular with alpha = d and no
+    padding; otherwise a ConstructionError naming the parameter ``name``."""
+    f = f_graph(m, d)
+    if not f.exact or f.degree != d:
+        raise ConstructionError(
+            f"{name}={d} not realizable on {m} vertices (achieved {f.degree},"
+            f" padding {f.padding})"
+        )
+    return f
+
+
 def pentagonlike(perm) -> ColoredGraph:
     """Two-coloring of K5 whose color classes are the cycle on ``perm`` and
     its complementary cycle."""
@@ -204,19 +216,9 @@ def pentagonlike(perm) -> ColoredGraph:
 
 
 def _is_five_cycle(g: Graph) -> bool:
-    if g.n != 5 or g.edge_count != 5:
-        return False
-    if any(g.degree(v) != 2 for v in range(5)):
-        return False
-    seen = 1
-    while True:
-        grown = seen
-        for v in range(5):
-            if (seen >> v) & 1:
-                grown |= g.adj[v]
-        if grown == seen:
-            return seen == (1 << 5) - 1
-        seen = grown
+    # a 2-regular simple graph is a disjoint union of cycles of length >= 3,
+    # and 5 is no sum of two or more such lengths, so on 5 vertices it is C_5
+    return g.n == 5 and all(g.degree(v) == 2 for v in range(5))
 
 
 def _dist_mod(a: int, b: int, modulus: int) -> int:
@@ -290,18 +292,8 @@ def kkl_36(params: KklParams) -> KklConstruction:
     """
     n = _check_order(params.n)
     q = n // 6
-    f1 = f_graph(q, params.d1)
-    if not f1.exact or f1.degree != params.d1:
-        raise ConstructionError(
-            f"d1={params.d1} not realizable on {q} vertices (achieved {f1.degree},"
-            f" padding {f1.padding})"
-        )
-    f2 = f_graph(params.m2, params.d2)
-    if not f2.exact or f2.degree != params.d2:
-        raise ConstructionError(
-            f"d2={params.d2} not realizable on {params.m2} vertices"
-            f" (achieved {f2.degree}, padding {f2.padding})"
-        )
+    f1 = _exact_f_graph(q, params.d1, "d1")
+    f2 = _exact_f_graph(params.m2, params.d2, "d2")
 
     full = (1 << n) - 1
     part_masks = [((1 << q) - 1) << (i * q) for i in range(6)]
@@ -367,7 +359,7 @@ def kkl_36(params: KklParams) -> KklConstruction:
         3: sum((row & part_masks[5]).bit_count() for row in one[x6_base:]) // 2,
         4: cg.classes[1].edge_count,
     }
-    partition = VertexPartition(n, [range(i * q, (i + 1) * q) for i in range(6)])
+    partition = turan_partition(n, 6)
     alpha, alpha_witness = independence_number(graph)
     stats = {
         "edges": graph.edge_count,
@@ -396,12 +388,7 @@ def construction_37(
     if n <= 0 or n % 8:
         raise ValueError(f"n={n} must be a positive multiple of 8")
     q = _check_order(n) // 8
-    planted = f_graph(q, d)
-    if not planted.exact or planted.degree != d:
-        raise ConstructionError(
-            f"d={d} not realizable on {q} vertices (achieved {planted.degree},"
-            f" padding {planted.padding})"
-        )
+    planted = _exact_f_graph(q, d, "d")
     part_masks = [((1 << q) - 1) << (i * q) for i in range(8)]
     one, two = [], []
     for a in range(8):
@@ -417,5 +404,4 @@ def construction_37(
         one += [far] * q
         two += [near | row << (a * q) for row in planted.graph.adj]
     cg = ColoredGraph.from_classes(Graph(n, one), Graph(n, two))
-    partition = VertexPartition(n, [range(i * q, (i + 1) * q) for i in range(8)])
-    return cg, partition
+    return cg, turan_partition(n, 8)

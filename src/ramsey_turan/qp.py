@@ -17,12 +17,17 @@ search cross-checks the exact value: pattern ascent from the 25 best points
 of the step-1/10 lattice, with no random starts.  Disagreement beyond 1e-6
 raises instead of being papered over.  Both certificates are pure and
 memoized.
+
+Each five-variable objective is one triple, ``_F`` or ``_G``, that ``_value``
+evaluates exactly and, converted to floats, for the cross-check; the exact
+feasibility test, the tight masks and the faces read one ``_constraints``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,30 +63,42 @@ class QpPoint:
             raise ValueError("points have 5 x (and optionally 5 y) coordinates")
 
 
-def _check_x_domain(x: tuple[Fraction, ...]):
+def _check_domain(x, y=None):
+    """Raise on the first violated constraint: x_i >= 0 then y_i >= 0 for
+    each i, then each x_i + x_{i+1} (+ y_i) <= 1."""
     for i in range(5):
         if x[i] < 0:
             raise InfeasiblePointError(f"x{i + 1} = {x[i]} violates x{i + 1} >= 0")
-    for i in range(5):
-        s = x[i] + x[(i + 1) % 5]
-        if s > 1:
-            raise InfeasiblePointError(
-                f"x{i + 1} + x{(i + 1) % 5 + 1} = {s} violates <= 1"
-            )
-
-
-def _check_f_domain(x, y):
-    for i in range(5):
-        if x[i] < 0:
-            raise InfeasiblePointError(f"x{i + 1} = {x[i]} violates x{i + 1} >= 0")
-        if y[i] < 0:
+        if y is not None and y[i] < 0:
             raise InfeasiblePointError(f"y{i + 1} = {y[i]} violates y{i + 1} >= 0")
     for i in range(5):
-        s = x[i] + x[(i + 1) % 5] + y[i]
+        j = (i + 1) % 5
+        s = x[i] + x[j] if y is None else x[i] + x[j] + y[i]
         if s > 1:
-            raise InfeasiblePointError(
-                f"x{i + 1} + x{(i + 1) % 5 + 1} + y{i + 1} = {s} violates <= 1"
-            )
+            term = "" if y is None else f" + y{i + 1}"
+            raise InfeasiblePointError(f"x{i + 1} + x{j + 1}{term} = {s} violates <= 1")
+
+
+# Each five-variable objective is a triple (constant, linear coefficients,
+# sign): its value at x is constant + lin.x + sign * (sum of the distance-two
+# products x_a x_b).  _F is f with y at its forced optimum,
+# 1 + (9/10) sum(x) - sum x_a x_b; _G is g.
+_F = (Fr(1), (Fr(9, 10),) * 5, -1)
+_G = (Fr(0), (Fr(0), Fr(0), Fr(1, 2), Fr(1, 2), Fr(1, 2)), 1)
+
+
+def _value(objective, x):
+    """The objective at x, exact on Fractions and float on floats."""
+    const, lin, sign = objective
+    s = const + sum(map(operator.mul, lin, x))
+    q = sum(x[a] * x[b] for a, b in _PAIRS)
+    return s + q if sign > 0 else s - q
+
+
+def _float_objective(objective):
+    """The triple in floats, for ``_value`` in the float cross-check."""
+    const, lin, sign = objective
+    return float(const), tuple(map(float, lin)), sign
 
 
 def eval_f(pt: QpPoint) -> Fraction:
@@ -89,7 +106,7 @@ def eval_f(pt: QpPoint) -> Fraction:
     if pt.y is None:
         raise ValueError("this objective needs y coordinates")
     x, y = pt.x, pt.y
-    _check_f_domain(x, y)
+    _check_domain(x, y)
     value = Fr(3, 10) * sum(x) + Fr(1, 5) * sum(y)
     value += sum(x[i] * y[j] for i, j in _XY_PAIRS)
     value += sum(x[a] * x[b] for a, b in _PAIRS)
@@ -100,9 +117,8 @@ def eval_g(pt: QpPoint) -> Fraction:
     """Exact value of the five-variable quadratic on its domain."""
     if pt.y is not None:
         raise ValueError("this objective takes no y coordinates")
-    x = pt.x
-    _check_x_domain(x)
-    return Fr(1, 2) * (x[2] + x[3] + x[4]) + sum(x[a] * x[b] for a, b in _PAIRS)
+    _check_domain(pt.x)
+    return _value(_G, pt.x)
 
 
 def optimal_y(x) -> tuple[Fraction, ...]:
@@ -114,12 +130,12 @@ def optimal_y(x) -> tuple[Fraction, ...]:
 def reduce_f_over_y(x) -> Fraction:
     """max over feasible y of f(x, y), in closed form.
 
-    Equals 1 + (9/10) * sum(x) - sum of distance-two products; the identity
-    is unit-tested against direct evaluation at the filled-in y.
+    This is ``_F``; the identity is unit-tested against direct evaluation
+    at the filled-in y.
     """
     x = tuple(Fr(v) for v in x)
-    _check_x_domain(x)
-    return 1 + Fr(9, 10) * sum(x) - sum(x[a] * x[b] for a, b in _PAIRS)
+    _check_domain(x)
+    return _value(_F, x)
 
 
 @dataclass(frozen=True)
@@ -176,25 +192,30 @@ def _solve_rational(rows: list[list[Fraction]]) -> list[Fraction]:
     return [row[-1] for row in rows]
 
 
+@functools.cache
 def _constraints():
-    """Rows (a, b) of a.x <= b for the shared five-variable polytope."""
+    """Rows (a, b) of a.x <= b for the shared five-variable polytope: the
+    five pair sums x_i + x_{i+1} <= 1, then the five -x_i <= 0."""
     rows = []
     for i in range(5):
         a = [Fr(0)] * 5
         a[i] = Fr(1)
         a[(i + 1) % 5] = Fr(1)
-        rows.append((a, Fr(1)))
+        rows.append((tuple(a), Fr(1)))
     for i in range(5):
         a = [Fr(0)] * 5
         a[i] = Fr(-1)
-        rows.append((a, Fr(0)))
-    return rows
+        rows.append((tuple(a), Fr(0)))
+    return tuple(rows)
 
 
-def _feasible(x: list[Fraction]) -> bool:
-    return all(v >= 0 for v in x) and all(
-        x[i] + x[(i + 1) % 5] <= 1 for i in range(5)
-    )
+def _slacks(x) -> list[Fraction]:
+    """b - a.x for each row (a, b) of ``_constraints()``."""
+    return [b - sum(ai * xi for ai, xi in zip(a, x)) for a, b in _constraints()]
+
+
+def _feasible(x) -> bool:
+    return min(_slacks(x)) >= 0
 
 
 def _vertices() -> list[tuple[Fraction, ...]]:
@@ -208,8 +229,7 @@ def _vertices() -> list[tuple[Fraction, ...]]:
 
 def _tight_mask(x) -> int:
     """Bit k set when constraint k of ``_constraints()`` holds with equality."""
-    return sum(1 << k for k, (a, b) in enumerate(_constraints())
-               if sum(ai * xi for ai, xi in zip(a, x)) == b)
+    return sum(1 << k for k, slack in enumerate(_slacks(x)) if slack == 0)
 
 
 @functools.cache
@@ -294,11 +314,8 @@ def _pick_argmax(cands):
     constraints, then lexicographically largest point."""
     best_value = max(v for v, _ in cands)
     tied = [x for v, x in cands if v == best_value]
-
-    def facets(x):
-        return sum(x[i] + x[(i + 1) % 5] == 1 for i in range(5))
-
-    tied.sort(key=lambda x: (facets(x), x), reverse=True)
+    # the pair-sum facets x_i + x_{i+1} <= 1 are the low five constraint bits
+    tied.sort(key=lambda x: ((_tight_mask(x) & 0b11111).bit_count(), x), reverse=True)
     return best_value, tied[0]
 
 
@@ -378,31 +395,24 @@ def _grid_ascent(objective) -> tuple[float, tuple[float, ...]]:
     return best_val, best_x
 
 
-def _certify(quad_sign, lin, const, names, as_f_point):
-    value, x, candidates = _exact_max(_quad_matrix(quad_sign), lin, const)
-
-    const_float = float(const)
-    lin_float = [float(v) for v in lin]
-
-    def objective(xs) -> float:
-        s = const_float + sum(lin_float[i] * xs[i] for i in range(5))
-        s += quad_sign * sum(xs[a] * xs[b] for a, b in _PAIRS)
-        return s
-
-    grid_value, _ = _grid_ascent(objective)
+def _certify(objective, implied_bound, to_point):
+    """Exact maximum of the triple ``objective``, cross-checked by the float
+    ascent on the same triple; ``to_point`` maps the argmax to a QpPoint."""
+    const, lin, sign = objective
+    value, x, candidates = _exact_max(_quad_matrix(sign), lin, const)
+    grid_value, _ = _grid_ascent(functools.partial(_value, _float_objective(objective)))
     gap = abs(float(value) - grid_value)
     if gap > 1e-6:
         raise CertificationError(
             f"stationary-point maximum {float(value)} and lattice maximum "
             f"{grid_value} disagree by {gap}"
         )
-    point = as_f_point(x)
     return QpCertificate(
         max_value=value,
-        argmax=point,
+        argmax=to_point(x),
         method="kkt-faces + lattice-pattern-ascent",
         agreement_gap=gap,
-        implied_bound=names,
+        implied_bound=implied_bound,
         faces=len(_faces()),
         candidates=candidates,
     )
@@ -415,15 +425,8 @@ def maximize_f() -> QpCertificate:
     Runs on the exact five-variable reduction (y filled at its forced
     optimum) and re-expands the argmax to ten coordinates.
     """
-    cert = _certify(
-        quad_sign=-1,
-        lin=[Fr(9, 10)] * 5,
-        const=Fr(1),
-        names=(
-            "mixed-block edge bound: e <= cap*|part|/2 + max_f*cap^2"
-        ),
-        as_f_point=lambda x: QpPoint(x, optimal_y(x)),
-    )
+    cert = _certify(_F, "mixed-block edge bound: e <= cap*|part|/2 + max_f*cap^2",
+                    lambda x: QpPoint(x, optimal_y(x)))
     check = eval_f(cert.argmax)
     if check != cert.max_value:
         raise CertificationError(
@@ -435,12 +438,5 @@ def maximize_f() -> QpCertificate:
 @functools.cache
 def maximize_g() -> QpCertificate:
     """Certified maximum of the five-variable quadratic."""
-    return _certify(
-        quad_sign=1,
-        lin=[Fr(0), Fr(0), Fr(1, 2), Fr(1, 2), Fr(1, 2)],
-        const=Fr(0),
-        names=(
-            "independent-block edge bound: e <= cap*|part|/2 + max_g*cap^2"
-        ),
-        as_f_point=lambda x: QpPoint(x, None),
-    )
+    return _certify(_G, "independent-block edge bound: e <= cap*|part|/2 + max_g*cap^2",
+                    QpPoint)

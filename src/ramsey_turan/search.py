@@ -114,18 +114,19 @@ def _column_pairs(n):
     return [(k, v) for v in range(n) for k in range(v)]
 
 
-# sb_l compares rows by these ranks of their entries: the order in which
-# ``rt_exact`` tries the colours (edge colours first, non-edges last)
+# the order in which ``_edge_search`` tries the colours: edge colours first,
+# non-edges last; sb_l compares rows by the rank of their entries in it
+_COLORS = (1, 2, 0)
 _RANK = (2, 0, 1)
 # node budget of one sub-search behind a degree cap; an undecided one gives
 # no cap
 _CAP_BUDGET = 10**4
 
 
-def _edge_search(n, pairs, colors, needs, budget, caps=None, floor=0):
+def _edge_search(n, pairs, needs, budget, caps=None, floor=0):
     """Iterative backtracking over the colours of ``pairs``.
 
-    Pair i gets the colours of ``colors`` in order, colour 1 before colour 2.
+    Pair i gets the colours of ``_COLORS`` in order: 1, 2, then 0.
     Colour c is allowed on uv iff ``needs[c] > 0`` and colour c has no
     K_{needs[c]} in the common neighbourhood of u and v, i.e. placing uv
     closes no K_{needs[c] + 2} (``_closes``: a bit test for needs 1 and 2,
@@ -133,8 +134,8 @@ def _edge_search(n, pairs, colors, needs, budget, caps=None, floor=0):
     only while it keeps the count of zeros below the best completed
     assignment (branch and bound); a completed assignment becomes the new
     best, and one with at most ``floor`` zeros ends the search.  Each
-    attempted assignment counts one node; a colour with need 0 is skipped
-    before it is counted.
+    attempted assignment counts one node; a colour with need 0 is never
+    tried.
 
     When ``needs[1] == needs[2]`` colours 1 and 2 are interchangeable, and
     colour 2 is skipped (and not counted) while every pair placed so far is
@@ -156,7 +157,7 @@ def _edge_search(n, pairs, colors, needs, budget, caps=None, floor=0):
 
     The colour swap and sb_l are sound together.  Order assignments x (one
     colour per pair, in the order of ``pairs``) lexicographically by the
-    ``_RANK`` of their entries, the order in which ``colors`` tries them.
+    ``_RANK`` of their entries, the order in which ``_COLORS`` tries them.
 
     1. sb_l on rows j - 1 and j is x <= tau(x) for the vertex transposition
        tau = (j - 1 j).  tau fixes the pair (j - 1, j) and exchanges (k, j - 1)
@@ -197,6 +198,10 @@ def _edge_search(n, pairs, colors, needs, budget, caps=None, floor=0):
     """
     layers = [[0] * n, [0] * n, [0] * n]
     total = len(pairs)
+    # a colour with need 0 is never placed, so it is never tried
+    colors = [c for c in _COLORS if needs[c] > 0]
+    if pairs and not colors:
+        return None, True, 0
     ncolors = len(colors)
     placed = [0] * total
     # choice[i]: index in colors of the next colour to try at pair i
@@ -232,8 +237,7 @@ def _edge_search(n, pairs, colors, needs, budget, caps=None, floor=0):
             while k < ncolors:
                 c = colors[k]
                 k += 1
-                need = needs[c]
-                if need <= 0 or c == 2 and swap and zeros == i:
+                if c == 2 and swap and zeros == i:
                     continue
                 if not c:
                     step = (zero_rows[u].bit_count() >= low) + (zero_rows[v].bit_count() >= low)
@@ -260,7 +264,7 @@ def _edge_search(n, pairs, colors, needs, budget, caps=None, floor=0):
                             continue
                         decided[row_b] = i if other < rank else total
                 common = rows[u] & rows[v]
-                if common and _closes(rows, common, need):
+                if common and _closes(rows, common, needs[c]):
                     continue
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
@@ -300,7 +304,7 @@ def _complete_search(n, needs, budget, floor=0):
     caps = _degree_caps(needs, n)
     if sum(caps) < n - 1:
         return None, True, 0
-    return _edge_search(n, _column_pairs(n), (1, 2, 0), needs, budget, caps, floor)
+    return _edge_search(n, _column_pairs(n), needs, budget, caps, floor)
 
 
 @lru_cache(maxsize=None)
@@ -357,6 +361,13 @@ class ColoringSearch:
     nodes: int
 
 
+def _check_search_args(p: int, q: int, budget: int):
+    if p < 2 or q < 2:
+        raise ValueError("clique sizes must be >= 2")
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+
+
 def find_free_coloring(
     g: Graph, p: int, q: int, budget: int = 10**6
 ) -> ColoringSearch:
@@ -370,15 +381,13 @@ def find_free_coloring(
     only, which halves the nodes of a refutation and keeps the witness.
     Each attempted edge-color assignment counts one node against the budget.
     """
-    if p < 2 or q < 2:
-        raise ValueError("clique sizes must be >= 2")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    _check_search_args(p, q, budget)
     edges = sorted(
         g.edges(), key=lambda e: (-(g.degree(e[0]) + g.degree(e[1])), e)
     )
-    # a K_p (K_q) through uv is a K_{p-2} (K_{q-2}) in their common neighbourhood
-    found, exhausted, nodes = _edge_search(g.n, edges, (1, 2), (0, p - 2, q - 2), budget)
+    # a K_p (K_q) through uv is a K_{p-2} (K_{q-2}) in their common
+    # neighbourhood; need 0 keeps colour 0 (non-edge) off every edge
+    found, exhausted, nodes = _edge_search(g.n, edges, (0, p - 2, q - 2), budget)
     if found is None:
         return ColoringSearch(None, exhausted, nodes)
     return ColoringSearch(EdgeColoring(dict(zip(edges, found))), True, nodes)
@@ -394,10 +403,7 @@ def ramsey_verify(p: int, q: int, n: int, budget: int = 10**6) -> bool:
     count) raises instead of guessing.
     """
     _check_order(n)
-    if p < 2 or q < 2:
-        raise ValueError("clique sizes must be >= 2")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    _check_search_args(p, q, budget)
     found = _colorable((0, p - 2, q - 2), n, budget)
     if found is None:
         raise SearchBudgetExceeded(
@@ -419,12 +425,9 @@ class RtInstance:
     def __post_init__(self):
         if not 1 <= self.n <= MAX_VERTICES:
             raise ValueError(f"n must be in [1, {MAX_VERTICES}]")
-        if self.p < 2 or self.q < 2:
-            raise ValueError("clique sizes must be >= 2")
+        _check_search_args(self.p, self.q, self.budget)
         if self.m < 1:
             raise ValueError("independence cap must be >= 1")
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from unittest import mock
 
@@ -22,7 +23,7 @@ from ramsey_turan import (
     pentagonlike,
     turan,
 )
-from ramsey_turan.constructions import _blowup_options, turan_part_sizes
+from ramsey_turan.constructions import _blowup_options, _is_five_cycle, turan_part_sizes
 from ramsey_turan.report import bounds_36
 
 from .conftest import assert_independent, naive_has_clique
@@ -166,6 +167,21 @@ class TestPentagonlike:
         with pytest.raises(ValueError):
             pentagonlike((0, 1, 2, 3, 3))
 
+    def test_five_cycle_predicate_on_all_labelled_graphs(self):
+        pairs = list(itertools.combinations(range(5), 2))
+        cycles = {
+            frozenset(tuple(sorted((p[i], p[(i + 1) % 5]))) for i in range(5))
+            for p in itertools.permutations(range(5))
+        }
+        accepted = set()
+        for mask in range(1 << len(pairs)):
+            edges = frozenset(e for k, e in enumerate(pairs) if mask >> k & 1)
+            if _is_five_cycle(Graph.from_edges(5, edges)):
+                accepted.add(edges)
+        assert len(cycles) == 12
+        assert accepted == cycles
+        assert not _is_five_cycle(Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)]))
+
 
 def kkl60(variant=RuleVariant.FIGURE):
     return kkl_36(KklParams(n=60, d1=4, m2=4, d2=2, rule_variant=variant))
@@ -218,6 +234,17 @@ class TestKkl36:
             kkl_36(KklParams(n=60, d1=3, m2=4, d2=2))
         with pytest.raises(ConstructionError):
             kkl_36(KklParams(n=60, d1=4, m2=4, d2=3))
+
+    def test_unrealizable_degree_messages(self):
+        with pytest.raises(ConstructionError) as err:
+            kkl_36(KklParams(n=60, d1=3, m2=4, d2=2))
+        assert str(err.value) == "d1=3 not realizable on 10 vertices (achieved 4, padding 0)"
+        with pytest.raises(ConstructionError) as err:
+            kkl_36(KklParams(n=60, d1=4, m2=4, d2=3))
+        assert str(err.value) == "d2=3 not realizable on 4 vertices (achieved 2, padding 0)"
+        with pytest.raises(ConstructionError) as err:
+            construction_37(40, 3)
+        assert str(err.value) == "d=3 not realizable on 5 vertices (achieved 2, padding 0)"
 
     def test_param_invariants(self):
         with pytest.raises(ValueError):

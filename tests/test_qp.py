@@ -72,6 +72,32 @@ class TestEvalF:
         with pytest.raises(ValueError):
             eval_f(QpPoint((0,) * 5))
 
+    @pytest.mark.parametrize("x, y, f_message, x_message", [
+        ((-1, 0, 0, 0, 0), (-1, 0, 0, 0, 0),
+         "x1 = -1 violates x1 >= 0", "x1 = -1 violates x1 >= 0"),
+        ((0, -1, 0, 0, 0), (-1, 0, 0, 0, 0),
+         "y1 = -1 violates y1 >= 0", "x2 = -1 violates x2 >= 0"),
+        ((0, 0, -1, 0, 0), (0, -1, 0, 0, 0),
+         "y2 = -1 violates y2 >= 0", "x3 = -1 violates x3 >= 0"),
+        ((1, 1, 0, 0, 0), (0, 0, -1, 0, 0),
+         "y3 = -1 violates y3 >= 0", "x1 + x2 = 2 violates <= 1"),
+        ((0, 0, 0, 1, H), (0,) * 5,
+         "x4 + x5 + y4 = 3/2 violates <= 1", "x4 + x5 = 3/2 violates <= 1"),
+        ((0, 0, 0, 1, 0), (0, 0, 0, Fr(1, 3), 0),
+         "x4 + x5 + y4 = 4/3 violates <= 1", None),
+    ])
+    def test_first_violation_named(self, x, y, f_message, x_message):
+        # x_i then y_i for each index, then the sums
+        with pytest.raises(InfeasiblePointError) as err:
+            eval_f(QpPoint(x, y))
+        assert str(err.value) == f_message
+        if x_message is None:
+            reduce_f_over_y(x)
+            return
+        with pytest.raises(InfeasiblePointError) as err:
+            reduce_f_over_y(x)
+        assert str(err.value) == x_message
+
 
 class TestEvalG:
     def test_all_half(self):
@@ -247,6 +273,13 @@ class TestFaces:
 
 
 class TestLattice:
+    @pytest.mark.parametrize("objective", [qp._F, qp._G], ids=["f", "g"])
+    def test_float_objective_matches_exact_value(self, objective):
+        floats = qp._float_objective(objective)
+        for x in qp._lattice():
+            exact = qp._value(objective, tuple(Fr(round(10 * v), 10) for v in x))
+            assert abs(qp._value(floats, x) - exact) <= 1e-12
+
     def test_nested_loops_match_filtered_product(self):
         levels = [k / 10 for k in range(11)]
         filtered = [

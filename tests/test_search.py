@@ -159,6 +159,13 @@ class TestFindFreeColoring:
         with pytest.raises(ValueError):
             find_free_coloring(Graph.complete(3), 3, 3, budget=0)
 
+    def test_no_colour_allowed(self):
+        # p = q = 2 forbids both colours: any edge refutes at once, with no node
+        refuted = find_free_coloring(Graph.complete(3), 2, 2)
+        assert (refuted.coloring, refuted.exhausted, refuted.nodes) == (None, True, 0)
+        empty = find_free_coloring(Graph(3, [0, 0, 0]), 2, 2)
+        assert (empty.coloring.colors, empty.exhausted, empty.nodes) == ({}, True, 0)
+
     def test_tiny_budget_flags_incomplete(self):
         result = find_free_coloring(Graph.complete(6), 3, 3, budget=5)
         assert result.coloring is None
@@ -397,6 +404,22 @@ class TestRtExact:
         result = rt_exact(RtInstance(n=8, p=3, q=3, m=2, budget=27))
         assert result == RtResult(None, None, False, 0)
         assert rt_exact(RtInstance(n=8, p=3, q=3, m=2, budget=28)).nodes > 0
+
+    def test_shared_argument_messages(self):
+        calls = [
+            lambda p, q, budget: find_free_coloring(Graph.complete(3), p, q, budget),
+            lambda p, q, budget: ramsey_verify(p, q, 3, budget),
+            lambda p, q, budget: RtInstance(n=3, p=p, q=q, m=1, budget=budget),
+        ]
+        for call in calls:
+            for p, q, budget, message in (
+                (1, 3, 10, "clique sizes must be >= 2"),
+                (3, 1, 0, "clique sizes must be >= 2"),
+                (3, 3, 0, "budget must be positive"),
+            ):
+                with pytest.raises(ValueError) as err:
+                    call(p, q, budget)
+                assert str(err.value) == message
 
     def test_instance_validation(self):
         with pytest.raises(ValueError):
