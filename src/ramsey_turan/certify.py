@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .constructions import _is_five_cycle
 from .graphs import (
     ColoredGraph,
     Graph,
     VertexPartition,
+    _check_clique_sizes,
     _complement_rows,
     _omega,
     bit_indices,
@@ -65,8 +65,7 @@ def _finish(checks: list[CheckRow], witness, params) -> Certificate:
 
 def check_colored_free(cg: ColoredGraph, p: int, q: int) -> Certificate:
     """Pass iff color 1 has no K_p and color 2 has no K_q (exact search)."""
-    if p < 2 or q < 2:
-        raise ValueError("clique sizes must be >= 2")
+    _check_clique_sizes(p, q)
     checks = []
     witness = None
     for color, cap in ((1, p), (2, q)):
@@ -154,6 +153,12 @@ def _triangle_free_colorings(n: int) -> tuple[list[tuple[int, int]], list[int]]:
         if not any(mask & tm == tm or mask & tm == 0 for tm in tri_masks)
     ]
     return edges, survivors
+
+
+def _is_five_cycle(g: Graph) -> bool:
+    # a 2-regular simple graph is a disjoint union of cycles of length >= 3,
+    # and 5 is no sum of two or more such lengths, so on 5 vertices it is C_5
+    return g.n == 5 and all(g.degree(v) == 2 for v in range(5))
 
 
 def pentagonlike_census() -> tuple[int, bool]:

@@ -21,7 +21,6 @@ from .graphs import (
     _clique_engine,
     _complement_rows,
     bit_indices,
-    independence_number,
 )
 
 
@@ -50,8 +49,6 @@ class Distance(Enum):
 
 def turan(n: int, p: int) -> Graph:
     """Balanced complete p-partite graph; larger parts come first."""
-    if p < 1:
-        raise ValueError("part count must be >= 1")
     if p > n:
         raise ValueError(f"part count {p} exceeds vertex count {n}")
     return _complete_multipartite(turan_part_sizes(_check_order(n), p))
@@ -72,6 +69,8 @@ def _complete_multipartite(sizes) -> Graph:
 
 
 def turan_part_sizes(n: int, p: int) -> list[int]:
+    if p < 1:
+        raise ValueError("part count must be >= 1")
     q, r = divmod(n, p)
     return [q + 1] * r + [q] * (p - r)
 
@@ -215,12 +214,6 @@ def pentagonlike(perm) -> ColoredGraph:
     return ColoredGraph.from_classes(cycle, cycle.complement())
 
 
-def _is_five_cycle(g: Graph) -> bool:
-    # a 2-regular simple graph is a disjoint union of cycles of length >= 3,
-    # and 5 is no sum of two or more such lengths, so on 5 vertices it is C_5
-    return g.n == 5 and all(g.degree(v) == 2 for v in range(5))
-
-
 def _dist_mod(a: int, b: int, modulus: int) -> int:
     d = (a - b) % modulus
     return min(d, modulus - d)
@@ -287,8 +280,9 @@ def kkl_36(params: KklParams) -> KklConstruction:
     Color 1 goes to: cross edges between outer parts at cyclic distance two
     (rule 1); edges from block Ii to its two target parts (rule 2, variant
     dependent); sixth-part inner edges not joining two block vertices
-    (rule 3).  Everything else is color 2 (rule 4).  Freeness is not asserted
-    here; the certifier decides it.
+    (rule 3).  Everything else is color 2 (rule 4).  ``stats`` holds the edge
+    count, the edge tally of each rule and the five blocks; freeness and the
+    independence number are not asserted here, the certifier decides them.
     """
     n = _check_order(params.n)
     q = n // 6
@@ -296,7 +290,8 @@ def kkl_36(params: KklParams) -> KklConstruction:
     f2 = _exact_f_graph(params.m2, params.d2, "d2")
 
     full = (1 << n) - 1
-    part_masks = [((1 << q) - 1) << (i * q) for i in range(6)]
+    partition = turan_partition(n, 6)
+    part_masks = partition.masks
     x6_base = 5 * q
     h = params.clone_block
 
@@ -352,27 +347,15 @@ def kkl_36(params: KklParams) -> KklConstruction:
             two[v] = (outer ^ sent) | joined
 
     cg = ColoredGraph.from_classes(Graph(n, one), Graph(n, two))
-    graph = cg.graph
-    rule_counts = {
-        1: sum((row & outer).bit_count() for row in one[:x6_base]) // 2,
-        2: sum((row & part_masks[5]).bit_count() for row in one[:x6_base]),
-        3: sum((row & part_masks[5]).bit_count() for row in one[x6_base:]) // 2,
-        4: cg.classes[1].edge_count,
-    }
-    partition = turan_partition(n, 6)
-    alpha, alpha_witness = independence_number(graph)
     stats = {
-        "edges": graph.edge_count,
-        "alpha": alpha,
-        "alpha_witness": alpha_witness,
-        "rule_edges": rule_counts,
+        "edges": cg.graph.edge_count,
+        "rule_edges": {
+            1: sum((row & outer).bit_count() for row in one[:x6_base]) // 2,
+            2: sum((row & part_masks[5]).bit_count() for row in one[:x6_base]),
+            3: sum((row & part_masks[5]).bit_count() for row in one[x6_base:]) // 2,
+            4: cg.classes[1].edge_count,
+        },
         "i_sets": tuple(i_sets),
-        "isolated": params.isolated,
-        "delta_n": params.delta_n,
-        "d1_shortfall": params.delta_n - params.d1,
-        "d2_shortfall": params.delta_n - params.d2,
-        "f1": f1,
-        "f2": f2,
     }
     return KklConstruction(cg, partition, stats)
 
@@ -389,7 +372,8 @@ def construction_37(
         raise ValueError(f"n={n} must be a positive multiple of 8")
     q = _check_order(n) // 8
     planted = _exact_f_graph(q, d, "d")
-    part_masks = [((1 << q) - 1) << (i * q) for i in range(8)]
+    partition = turan_partition(n, 8)
+    part_masks = partition.masks
     one, two = [], []
     for a in range(8):
         near = far = 0
@@ -403,5 +387,4 @@ def construction_37(
                 far |= part_masks[b]
         one += [far] * q
         two += [near | row << (a * q) for row in planted.graph.adj]
-    cg = ColoredGraph.from_classes(Graph(n, one), Graph(n, two))
-    return cg, turan_partition(n, 8)
+    return ColoredGraph.from_classes(Graph(n, one), Graph(n, two)), partition

@@ -30,6 +30,11 @@ def _check_order(n: int) -> int:
     return n
 
 
+def _check_clique_sizes(p: int, q: int):
+    if p < 2 or q < 2:
+        raise ValueError("clique sizes must be >= 2")
+
+
 def bit_indices(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -161,6 +166,8 @@ class Graph:
             raise ValueError("duplicate vertices in induced-subgraph request")
         rows = [0] * len(vertices)
         for i, v in enumerate(vertices):
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} out of range for n={self.n}")
             row = self.adj[v]
             for u in bit_indices(row):
                 j = index.get(u)

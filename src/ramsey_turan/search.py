@@ -15,7 +15,10 @@ from functools import lru_cache
 from math import prod
 
 from .graph6 import _triangle_rows
-from .graphs import MAX_VERTICES, ColoredGraph, EdgeColoring, Graph, _check_order, _clique_engine
+from .graphs import (
+    MAX_VERTICES, ColoredGraph, EdgeColoring, Graph, _check_clique_sizes, _check_order,
+    _clique_engine,
+)
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -362,8 +365,7 @@ class ColoringSearch:
 
 
 def _check_search_args(p: int, q: int, budget: int):
-    if p < 2 or q < 2:
-        raise ValueError("clique sizes must be >= 2")
+    _check_clique_sizes(p, q)
     if budget <= 0:
         raise ValueError("budget must be positive")
 

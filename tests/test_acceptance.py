@@ -35,7 +35,7 @@ from ramsey_turan import (
     reduce_f_over_y,
     rt_exact,
 )
-from ramsey_turan.constructions import _is_five_cycle
+from ramsey_turan.certify import _is_five_cycle
 from ramsey_turan.search import enumerate_canonical_graphs, graph_from_canonical
 
 from .conftest import naive_has_clique, naive_independence

@@ -27,7 +27,7 @@ from ramsey_turan import (
     turan,
     turan_partition,
 )
-from ramsey_turan.certify import _ceil_sqrt_fraction
+from ramsey_turan.certify import _ceil_sqrt_fraction, _is_five_cycle
 from ramsey_turan.search import enumerate_canonical_graphs, graph_from_canonical
 
 from .conftest import (
@@ -58,6 +58,17 @@ class TestCheckColoredFree:
         assert not cert.passed
         assert len(cert.witness) == 3
         assert_clique(Graph.complete(6), cert.witness)
+
+    def test_clique_size_message(self):
+        cg = pentagonlike(range(5))
+        for call in (
+            lambda: check_colored_free(cg, 1, 3),
+            lambda: check_colored_free(cg, 3, 1),
+            lambda: check_rt_witness(cg, 1, 3, 2),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == "clique sizes must be >= 2"
 
     def test_kkl_figure_variant_passes(self):
         cert = check_colored_free(kkl60().colored_graph, 3, 6)
@@ -185,6 +196,21 @@ class TestCensus:
 
     def test_census_agrees_with_general_counter(self):
         assert mono_triangle_free_count(5) == 12
+
+    def test_five_cycle_predicate_on_all_labelled_graphs(self):
+        pairs = list(combinations(range(5), 2))
+        cycles = {
+            frozenset(tuple(sorted((p[i], p[(i + 1) % 5]))) for i in range(5))
+            for p in permutations(range(5))
+        }
+        accepted = set()
+        for mask in range(1 << len(pairs)):
+            edges = frozenset(e for k, e in enumerate(pairs) if mask >> k & 1)
+            if _is_five_cycle(Graph.from_edges(5, edges)):
+                accepted.add(edges)
+        assert len(cycles) == 12
+        assert accepted == cycles
+        assert not _is_five_cycle(Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)]))
 
 
 def _alpha_table(adj) -> list[int]:

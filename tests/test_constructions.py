@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 from unittest import mock
 
@@ -22,8 +21,9 @@ from ramsey_turan import (
     kkl_36,
     pentagonlike,
     turan,
+    turan_partition,
 )
-from ramsey_turan.constructions import _blowup_options, _is_five_cycle, turan_part_sizes
+from ramsey_turan.constructions import _blowup_options, turan_part_sizes
 from ramsey_turan.report import bounds_36
 
 from .conftest import assert_independent, naive_has_clique
@@ -50,8 +50,10 @@ class TestTuran:
         assert all(g.has_edge(0, v) for v in range(3, 7))
 
     def test_zero_parts_rejected(self):
-        with pytest.raises(ValueError):
-            turan(5, 0)
+        for build in (turan, turan_partition, turan_part_sizes):
+            with pytest.raises(ValueError) as err:
+                build(6, 0)
+            assert str(err.value) == "part count must be >= 1"
 
     def test_vertex_cap_checked_before_part_sizes(self):
         # the size list grows with the part count, up to n entries
@@ -167,21 +169,6 @@ class TestPentagonlike:
         with pytest.raises(ValueError):
             pentagonlike((0, 1, 2, 3, 3))
 
-    def test_five_cycle_predicate_on_all_labelled_graphs(self):
-        pairs = list(itertools.combinations(range(5), 2))
-        cycles = {
-            frozenset(tuple(sorted((p[i], p[(i + 1) % 5]))) for i in range(5))
-            for p in itertools.permutations(range(5))
-        }
-        accepted = set()
-        for mask in range(1 << len(pairs)):
-            edges = frozenset(e for k, e in enumerate(pairs) if mask >> k & 1)
-            if _is_five_cycle(Graph.from_edges(5, edges)):
-                accepted.add(edges)
-        assert len(cycles) == 12
-        assert accepted == cycles
-        assert not _is_five_cycle(Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)]))
-
 
 def kkl60(variant=RuleVariant.FIGURE):
     return kkl_36(KklParams(n=60, d1=4, m2=4, d2=2, rule_variant=variant))
@@ -218,16 +205,21 @@ class TestKkl36:
                 )
 
     def test_block_layout(self):
-        built = kkl60()
-        i_sets = built.stats["i_sets"]
+        i_sets = kkl60().stats["i_sets"]
         assert len(i_sets) == 5
         assert all(len(block) == 1 for block in i_sets)
-        assert built.stats["isolated"] == 3
-        assert built.stats["delta_n"] == 4
-        assert built.stats["d2_shortfall"] == 2
+        params = KklParams(n=60, d1=4, m2=4, d2=2)
+        assert params.isolated == 3
+        assert params.delta_n == 4
+        assert params.delta_n - params.d2 == 2
 
     def test_alpha_exceeds_scale_at_toy_size(self):
-        assert kkl60().stats["alpha"] == 5
+        assert independence_number(kkl60().colored_graph.graph)[0] == 5
+
+    @pytest.mark.parametrize("variant", list(RuleVariant))
+    def test_stats_keys(self, variant):
+        # alpha is the certifier's verdict, and the parameters are KklParams'
+        assert kkl60(variant).stats.keys() == {"edges", "rule_edges", "i_sets"}
 
     def test_unrealizable_degree_rejected(self):
         with pytest.raises(ConstructionError):
@@ -258,7 +250,6 @@ class TestTallRungs:
 
     def test_kkl_480_witness(self):
         built = kkl_36(KklParams(n=480, d1=32, m2=32, d2=16))
-        assert built.stats["alpha"] == 40
         cert = check_rt_witness(built.colored_graph, 3, 6, 40)
         assert cert.passed
         assert {row.name: row.measured for row in cert.checks} == {

@@ -83,6 +83,14 @@ class TestGraphValidation:
         sub = g.induced((0, 1, 2))
         assert sorted(sub.edges()) == [(0, 1), (1, 2)]
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_induced_vertex_out_of_range(self, bad):
+        # a negative index would wrap to vertex 3 and repeat it unseen
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError) as err:
+            g.induced([bad, 3])
+        assert str(err.value) == f"vertex {bad} out of range for n=4"
+
 
 def bit_loop_validate(n: int, adj) -> None:
     """Reference validation: the range and self-loop checks per row, then

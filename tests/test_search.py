@@ -22,7 +22,7 @@ from ramsey_turan import (
     ramsey_verify,
     rt_exact,
 )
-from ramsey_turan.constructions import _is_five_cycle
+from ramsey_turan.certify import _is_five_cycle
 from ramsey_turan.graphs import MAX_VERTICES, _clique_engine
 from ramsey_turan.search import _closes, _colorable, _degree_caps
 
