@@ -49,8 +49,6 @@ class Distance(Enum):
 
 def turan(n: int, p: int) -> Graph:
     """Balanced complete p-partite graph; larger parts come first."""
-    if p > n:
-        raise ValueError(f"part count {p} exceeds vertex count {n}")
     return _complete_multipartite(turan_part_sizes(_check_order(n), p))
 
 
@@ -71,6 +69,8 @@ def _complete_multipartite(sizes) -> Graph:
 def turan_part_sizes(n: int, p: int) -> list[int]:
     if p < 1:
         raise ValueError("part count must be >= 1")
+    if p > n:
+        raise ValueError(f"part count {p} exceeds vertex count {n}")
     q, r = divmod(n, p)
     return [q + 1] * r + [q] * (p - r)
 

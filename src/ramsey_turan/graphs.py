@@ -83,10 +83,19 @@ class Graph:
     the rows are packed into one w-by-w bit matrix (w the next power of two
     >= max(n, 8)), transposed by log2(w) delta swaps, and any bit of the
     matrix missing from its transpose names the first asymmetric pair.
-    Instances are treated as immutable values.
+    ``_unchecked`` skips that validation; only ``_color_classes`` and
+    ``ColoredGraph.from_classes`` call it, on rows that are valid by
+    construction (see there).  Instances are treated as immutable values.
     """
 
     __slots__ = ("n", "adj")
+
+    @classmethod
+    def _unchecked(cls, n: int, adj: Sequence[int]) -> "Graph":
+        g = cls.__new__(cls)
+        g.n = n
+        g.adj = tuple(adj)
+        return g
 
     def __init__(self, n: int, adj: Sequence[int]):
         _check_order(n)
@@ -258,7 +267,41 @@ class EdgeColoring:
 
 
 def _color_classes(n: int, colored_edges) -> tuple[Graph, Graph]:
-    """The two spanning color classes of (u, v, color) triples on ``n`` vertices."""
+    """The two spanning color classes of (u, v, color) triples on ``n`` vertices.
+
+    One pass only sets bits: the color picks its rows from ``rows`` and each
+    endpoint's bit comes from ``bits``, so a value that is not a color or
+    not a vertex raises a lookup error before any shift is done.  One count
+    over the rows then rejects self-loops, pairs in both classes and
+    repeated edges at once: each edge sets at most two bits of the union of
+    the classes, a self-loop only one and a pair given a second time, in
+    either class, none, so the union holds 2 * len(edges) bits exactly when
+    every edge is a new pair of distinct vertices.  Rows that pass are
+    valid by construction: every edge sets both of its bits (symmetric),
+    every bit is a value of ``bits`` (in range), the diagonal is clear and
+    the classes share no pair, so they skip ``Graph``'s checks.  On any
+    lookup error or a short count the per-edge checks rerun over the same
+    list and raise for the first bad edge in input order.
+    """
+    one, two = [0] * _check_order(n), [0] * n
+    edges = list(colored_edges)
+    rows = {1: one, 2: two}
+    bits = {v: 1 << v for v in range(n)}
+    try:
+        for u, v, c in edges:
+            row = rows[c]
+            row[u] |= bits[v]
+            row[v] |= bits[u]
+    except (LookupError, TypeError, ValueError):
+        pass
+    else:
+        if sum(map(int.bit_count, map(int.__or__, one, two))) == 2 * len(edges):
+            return Graph._unchecked(n, one), Graph._unchecked(n, two)
+    return _checked_color_classes(n, edges)
+
+
+def _checked_color_classes(n: int, colored_edges) -> tuple[Graph, Graph]:
+    """``_color_classes`` with every edge checked as it is added."""
     one, two = [0] * _check_order(n), [0] * n
     for u, v, c in colored_edges:
         if u == v:
@@ -304,7 +347,12 @@ class ColoredGraph:
 
     @classmethod
     def from_classes(cls, one: Graph, two: Graph) -> "ColoredGraph":
-        """Colored graph whose color-1 and color-2 edges are ``one`` and ``two``."""
+        """Colored graph whose color-1 and color-2 edges are ``one`` and ``two``.
+
+        The host rows are the union of two already-validated graphs of the
+        same order that share no edge, so they are valid by construction and
+        skip ``Graph``'s checks.
+        """
         if one.n != two.n:
             raise ValueError(f"color classes differ in order ({one.n} != {two.n})")
         rows = []
@@ -313,7 +361,7 @@ class ColoredGraph:
                 raise ValueError(f"color classes share an edge at vertex {v}")
             rows.append(a | b)
         cg = cls.__new__(cls)
-        cg.graph = Graph(one.n, rows)
+        cg.graph = Graph._unchecked(one.n, rows)
         cg.classes = (one, two)
         cg._coloring = None
         return cg

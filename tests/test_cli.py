@@ -398,6 +398,22 @@ class TestCliCommands:
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 
+    def test_huge_vertex_index_rejected_at_once(self, capsys):
+        # a builder that shifted by the vertex before checking it would
+        # allocate a 10**12-bit integer here
+        doc = {"n": 3, "edges": [[0, 1000000000000, 1]]}
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="out of range"):
+            ColoredGraph.from_colored_edges(doc["n"], doc["edges"])
+        with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))):
+            code = cli_dispatch(["verify", "free", "--p", "3", "--q", "3", "--input", "-"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: edge (0,1000000000000) out of range for n=3\n"
+        assert elapsed < 1.0
+
     def test_every_leaf_binds_a_handler(self):
         def leaves(parser, path=()):
             groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

@@ -55,6 +55,14 @@ class TestTuran:
                 build(6, 0)
             assert str(err.value) == "part count must be >= 1"
 
+    def test_more_parts_than_vertices_rejected(self):
+        # checked before the size list (one entry per part) is allocated
+        for build in (turan, turan_partition, turan_part_sizes):
+            for n, p in ((3, 5), (4, 200000)):
+                with pytest.raises(ValueError) as err:
+                    build(n, p)
+                assert str(err.value) == f"part count {p} exceeds vertex count {n}"
+
     def test_vertex_cap_checked_before_part_sizes(self):
         # the size list grows with the part count, up to n entries
         with mock.patch(

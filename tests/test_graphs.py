@@ -56,6 +56,64 @@ graphs_strategy = st.builds(
 )
 
 
+def per_edge_classes(n: int, colored_edges) -> tuple[Graph, Graph]:
+    """Color classes built with every edge checked as it is added: the
+    reference for the errors of ``ColoredGraph.from_colored_edges``."""
+    one, two = [0] * n, [0] * n
+    for u, v, c in colored_edges:
+        if u == v:
+            raise ValueError(f"self-loop ({u},{v}) in coloring")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if c not in (1, 2):
+            raise ValueError(f"color {c} not in {{1, 2}}")
+        if (one[u] | two[u]) >> v & 1:
+            raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
+        row = one if c == 1 else two
+        row[u] |= 1 << v
+        row[v] |= 1 << u
+    return Graph(n, one), Graph(n, two)
+
+
+def outcome(build):
+    """("ok", value) of ``build()``, or the type and text of what it raised."""
+    try:
+        return "ok", build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def colored_edge_lists(draw):
+    """(n, triples): valid colored edges with bad ones mixed in, among them
+    self-loops, vertices -1, n and 10**12, colors 0, 3 and True, and
+    repeated or reversed edges in the same or the other color."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    color = st.sampled_from((1, 2))
+    pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                          unique=True, max_size=12))
+    triples = [
+        (v, u, c) if draw(st.booleans()) else (u, v, c)
+        for (u, v), c in zip(pairs, draw(st.lists(color, min_size=len(pairs),
+                                                   max_size=len(pairs))))
+    ]
+    bad = [
+        st.builds(lambda v, c: (v, v, c), vertex, color),
+        st.tuples(st.sampled_from((-1, n, 10**12)), vertex, color),
+        st.tuples(vertex, st.sampled_from((-1, n, 10**12)), color),
+        st.tuples(vertex, vertex, st.sampled_from((0, 3, True))),
+    ]
+    if triples:
+        bad.append(st.builds(
+            lambda t, flip, c: ((t[1], t[0]) if flip else t[:2]) + (c,),
+            st.sampled_from(triples), st.booleans(), color,
+        ))
+    for extra in draw(st.lists(st.one_of(bad), max_size=3)):
+        triples.insert(draw(st.integers(min_value=0, max_value=len(triples))), extra)
+    return n, triples
+
+
 class TestGraphValidation:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="asymmetric"):
@@ -253,6 +311,68 @@ class TestColoredGraph:
     def test_rejects_bad_colored_edges(self, triples, message):
         with pytest.raises(ValueError, match=message):
             ColoredGraph.from_colored_edges(3, triples)
+
+    @given(colored_edge_lists())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_edge_checks(self, case):
+        n, triples = case
+        assert outcome(lambda: ColoredGraph.from_colored_edges(n, triples).classes) == (
+            outcome(lambda: per_edge_classes(n, triples))
+        )
+
+    @pytest.mark.parametrize(
+        "triples, expected",
+        [
+            ([(0, 1, 1), (2, 2, 1), (0, 5, 1)], (ValueError, "self-loop (2,2) in coloring")),
+            ([(0, 1, 1), (0, 5, 1), (2, 2, 1)], (ValueError, "edge (0,5) out of range for n=3")),
+            ([(0, 1, 2), (1, 2, 0), (1, 0, 1)], (ValueError, "color 0 not in {1, 2}")),
+            ([(0, 1, 2), (1, 0, 1), (1, 2, 0)], (ValueError, "duplicate edge (0, 1)")),
+            ([(0, 1.0, 1)], (TypeError, "unsupported operand type(s) for >>: 'int' and 'float'")),
+            ([(0, 1.5, 1)], (TypeError, "unsupported operand type(s) for >>: 'int' and 'float'")),
+        ],
+        ids=["loop-then-range", "range-then-loop", "color-then-duplicate",
+             "duplicate-then-color", "float-vertex", "fractional-vertex"],
+    )
+    def test_first_bad_edge_is_named(self, triples, expected):
+        assert outcome(lambda: per_edge_classes(3, triples)) == expected
+        assert outcome(lambda: ColoredGraph.from_colored_edges(3, triples)) == expected
+
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_unchecked_rows_equal_the_validated_graphs(self, n, p, seed):
+        rng = random.Random(seed)
+        triples = []
+        one, two = [0] * n, [0] * n
+        for u, v in combinations(range(n), 2):
+            if rng.random() < p:
+                c = rng.choice((1, 2))
+                rows = one if c == 1 else two
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+                triples.append((u, v, c) if rng.random() < 0.5 else (v, u, c))
+        rng.shuffle(triples)
+        host = Graph(n, [a | b for a, b in zip(one, two)])
+        cg = ColoredGraph.from_colored_edges(n, triples)
+        for built, validated in zip((cg.graph, *cg.classes), (host, Graph(n, one), Graph(n, two))):
+            assert built == validated and hash(built) == hash(validated)
+            assert isinstance(built.adj, tuple)
+        assert ColoredGraph.from_colored_edges(n, iter(triples)) == cg
+        coloring = EdgeColoring({(u, v): c for u, v, c in triples})
+        assert ColoredGraph(host, coloring) == cg
+
+    def test_rejection_rereads_a_one_shot_generator(self):
+        # the per-edge checks rerun over the edges already read
+        triples = [(u, v, c) for (u, v), c in self.TRIANGLE.items()]
+        with pytest.raises(ValueError) as err:
+            ColoredGraph.from_colored_edges(3, (t for t in [*triples, (2, 1, 2)]))
+        assert str(err.value) == "duplicate edge (1, 2)"
+        with pytest.raises(ValueError) as err:
+            ColoredGraph(Graph.complete(3), EdgeColoring({**self.TRIANGLE, (0, 3): 1}))
+        assert str(err.value) == "edge (0,3) out of range for n=3"
 
     def test_duplicate_in_edge_coloring_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
