@@ -18,6 +18,7 @@ from .graphs import (
     Graph,
     VertexPartition,
     _check_clique_sizes,
+    _check_order,
     _complement_rows,
     _omega,
     bit_indices,
@@ -181,7 +182,7 @@ def pentagonlike_census() -> tuple[int, bool]:
 
 def mono_triangle_free_count(n: int) -> int:
     """Number of 2-colorings of E(K_n) with no monochromatic triangle."""
-    return len(_triangle_free_colorings(n)[1])
+    return len(_triangle_free_colorings(_check_order(n))[1])
 
 
 def _ceil_sqrt_fraction(value: Fraction) -> int:

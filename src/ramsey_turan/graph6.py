@@ -32,7 +32,14 @@ def _triangle(rows) -> str:
 
 def _triangle_rows(n: int, bits: str) -> list[int]:
     """Symmetric adjacency rows of the n-vertex triangle text ``bits``
-    (inverse of ``_triangle``; text past the n(n-1)/2 pairs is ignored)."""
+    (inverse of ``_triangle``; text past the n(n-1)/2 pairs is ignored).
+
+    The rows are valid ``Graph`` rows by construction, so callers build with
+    ``Graph._unchecked``: row j's low part holds only the j pairs (i, j) with
+    i < j, so no bit reaches the diagonal or n, and OR-ing the lower
+    triangle with its transpose makes the rows symmetric.  ``bits`` must
+    hold only '0' and '1' and at least n(n-1)/2 of them.
+    """
     lower = [0] * n
     start = 0
     for j in range(1, n):
@@ -93,7 +100,7 @@ def decode(line: str) -> Graph:
     bits = s[idx:].translate(_BITS)
     if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits", len(s) - 1)
-    return Graph(n, _triangle_rows(n, bits))
+    return Graph._unchecked(n, _triangle_rows(n, bits))
 
 
 def write_lines(graphs) -> str:

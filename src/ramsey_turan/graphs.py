@@ -83,9 +83,11 @@ class Graph:
     the rows are packed into one w-by-w bit matrix (w the next power of two
     >= max(n, 8)), transposed by log2(w) delta swaps, and any bit of the
     matrix missing from its transpose names the first asymmetric pair.
-    ``_unchecked`` skips that validation; only ``_color_classes`` and
-    ``ColoredGraph.from_classes`` call it, on rows that are valid by
-    construction (see there).  Instances are treated as immutable values.
+    ``_unchecked`` skips that validation; only ``_color_classes``,
+    ``ColoredGraph.from_classes``, ``graph6.decode`` and
+    ``search.graph_from_canonical`` call it, on rows that are valid by
+    construction (see there and ``graph6._triangle_rows``).  Instances are
+    treated as immutable values.
     """
 
     __slots__ = ("n", "adj")

@@ -18,8 +18,12 @@ of the step-1/10 lattice, with no random starts.  Disagreement beyond 1e-6
 raises instead of being papered over.  Both certificates are pure and
 memoized.
 
-Each five-variable objective is one triple, ``_F`` or ``_G``, that ``_value``
-evaluates exactly and, converted to floats, for the cross-check; the exact
+Each five-variable objective is one triple, ``_F`` or ``_G``.  Its exact
+values come from one integer form (``_integer_form``): a point is scaled once
+to integer numerators over its least common denominator, the domain test and
+the quadratic run on those integers, and one ``Fraction`` is built at the
+end; ``eval_f`` does the same for the ten-variable quadratic.  ``_value``
+evaluates the triple on floats for the cross-check.  The candidates'
 feasibility test, the tight masks and the faces read one ``_constraints``.
 """
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,9 +68,23 @@ class QpPoint:
             raise ValueError("points have 5 x (and optionally 5 y) coordinates")
 
 
+def _numerators(coords):
+    """(X, d) with coords[i] = X[i] / d and d the least common denominator."""
+    d = math.lcm(*(v.denominator for v in coords))
+    return [v.numerator * (d // v.denominator) for v in coords], d
+
+
 def _check_domain(x, y=None):
-    """Raise on the first violated constraint: x_i >= 0 then y_i >= 0 for
-    each i, then each x_i + x_{i+1} (+ y_i) <= 1."""
+    """(X, Y, d): the point's numerators over their common denominator d,
+    Y None when y is.  The domain is tested on them (x_i >= 0 iff X_i >= 0,
+    x_i + x_{i+1} + y_i <= 1 iff X_i + X_{i+1} + Y_i <= d); if it fails,
+    raise on the first violated constraint: x_i >= 0 then y_i >= 0 for each
+    i, then each x_i + x_{i+1} (+ y_i) <= 1."""
+    nums, d = _numerators(x if y is None else (*x, *y))
+    X, Y = nums[:5], nums[5:] or None
+    sums = map(operator.add, X, X[1:] + X[:1])
+    if min(nums) >= 0 and max(sums if Y is None else map(operator.add, sums, Y)) <= d:
+        return X, Y, d
     for i in range(5):
         if x[i] < 0:
             raise InfeasiblePointError(f"x{i + 1} = {x[i]} violates x{i + 1} >= 0")
@@ -79,6 +98,14 @@ def _check_domain(x, y=None):
             raise InfeasiblePointError(f"x{i + 1} + x{j + 1}{term} = {s} violates <= 1")
 
 
+def _five(x) -> tuple[Fraction, ...]:
+    """x as five Fractions; any other length is rejected."""
+    x = tuple(Fr(v) for v in x)
+    if len(x) != 5:
+        raise ValueError(f"points have 5 x coordinates, not {len(x)}")
+    return x
+
+
 # Each five-variable objective is a triple (constant, linear coefficients,
 # sign): its value at x is constant + lin.x + sign * (sum of the distance-two
 # products x_a x_b).  _F is f with y at its forced optimum,
@@ -88,11 +115,46 @@ _G = (Fr(0), (Fr(0), Fr(0), Fr(1, 2), Fr(1, 2), Fr(1, 2)), 1)
 
 
 def _value(objective, x):
-    """The objective at x, exact on Fractions and float on floats."""
+    """The triple's value at the float point x, for the float cross-check."""
     const, lin, sign = objective
     s = const + sum(map(operator.mul, lin, x))
     q = sum(x[a] * x[b] for a, b in _PAIRS)
     return s + q if sign > 0 else s - q
+
+
+def _quad_matrix(sign: int) -> list[list[Fraction]]:
+    q = [[Fr(0)] * 5 for _ in range(5)]
+    for a, b in _PAIRS:
+        q[a][b] += Fr(sign, 2)
+        q[b][a] += Fr(sign, 2)
+    return q
+
+
+def _integer_form(quad, lin, const):
+    """const + lin.x + x'Qx on integers over one denominator L.
+
+    Returns (L, C, linear terms (L_i, i), quadratic terms (q, a, b) with
+    a <= b), zero terms dropped; at x = X / d the value is
+    (C d^2 + d sum L_i X_i + sum q X_a X_b) / (L d^2).
+    """
+    quad = [(quad[a][b] + quad[b][a] if a < b else quad[a][a], a, b)
+            for a in range(5) for b in range(a, 5)]
+    scale = math.lcm(const.denominator, *(v.denominator for v in lin),
+                     *(q.denominator for q, _, _ in quad))
+    return (scale, int(const * scale),
+            tuple((int(v * scale), i) for i, v in enumerate(lin) if v),
+            tuple((int(q * scale), a, b) for q, a, b in quad if q))
+
+
+def _form_value(form, X, d) -> Fraction:
+    """The exact value of an ``_integer_form`` at the point X / d."""
+    scale, const, lin, quad = form
+    num = (const * d + sum(v * X[i] for v, i in lin)) * d
+    return Fr(num + sum(q * X[a] * X[b] for q, a, b in quad), scale * d * d)
+
+
+_F_FORM, _G_FORM = (_integer_form(_quad_matrix(sign), lin, const)
+                    for const, lin, sign in (_F, _G))
 
 
 def _float_objective(objective):
@@ -105,25 +167,23 @@ def eval_f(pt: QpPoint) -> Fraction:
     """Exact value of the ten-variable quadratic on its domain."""
     if pt.y is None:
         raise ValueError("this objective needs y coordinates")
-    x, y = pt.x, pt.y
-    _check_domain(x, y)
-    value = Fr(3, 10) * sum(x) + Fr(1, 5) * sum(y)
-    value += sum(x[i] * y[j] for i, j in _XY_PAIRS)
-    value += sum(x[a] * x[b] for a, b in _PAIRS)
-    return value
+    # 10 d^2 f = d (3 sum X + 2 sum Y) + 10 (sum X_i Y_{i+2} + sum X_a X_b)
+    X, Y, d = _check_domain(pt.x, pt.y)
+    cross = sum(X[i] * Y[j] for i, j in _XY_PAIRS) + sum(X[a] * X[b] for a, b in _PAIRS)
+    return Fr(d * (3 * sum(X) + 2 * sum(Y)) + 10 * cross, 10 * d * d)
 
 
 def eval_g(pt: QpPoint) -> Fraction:
     """Exact value of the five-variable quadratic on its domain."""
     if pt.y is not None:
         raise ValueError("this objective takes no y coordinates")
-    _check_domain(pt.x)
-    return _value(_G, pt.x)
+    X, _, d = _check_domain(pt.x)
+    return _form_value(_G_FORM, X, d)
 
 
 def optimal_y(x) -> tuple[Fraction, ...]:
     """The y filling that is optimal for any fixed feasible x."""
-    x = tuple(Fr(v) for v in x)
+    x = _five(x)
     return tuple(1 - x[i] - x[(i + 1) % 5] for i in range(5))
 
 
@@ -133,9 +193,8 @@ def reduce_f_over_y(x) -> Fraction:
     This is ``_F``; the identity is unit-tested against direct evaluation
     at the filled-in y.
     """
-    x = tuple(Fr(v) for v in x)
-    _check_domain(x)
-    return _value(_F, x)
+    X, _, d = _check_domain(_five(x))
+    return _form_value(_F_FORM, X, d)
 
 
 @dataclass(frozen=True)
@@ -319,22 +378,13 @@ def _pick_argmax(cands):
     return best_value, tied[0]
 
 
-def _quad_matrix(sign: int) -> list[list[Fraction]]:
-    q = [[Fr(0)] * 5 for _ in range(5)]
-    for a, b in _PAIRS:
-        q[a][b] += Fr(sign, 2)
-        q[b][a] += Fr(sign, 2)
-    return q
-
-
 def _exact_max(quad, lin, const):
     """(maximum, representative argmax, candidate count) of
-    const + lin.x + x'Qx over the polytope, in exact rationals."""
-    cands = [
-        (const + sum(lin[i] * x[i] for i in range(5))
-         + sum(x[i] * quad[i][j] * x[j] for i in range(5) for j in range(5)), x)
-        for x in _face_candidates(quad, lin)
-    ]
+    const + lin.x + x'Qx over the polytope, in exact rationals: each
+    candidate is scored by ``_form_value``, the evaluator of ``eval_g`` and
+    ``reduce_f_over_y``."""
+    form = _integer_form(quad, lin, const)
+    cands = [(_form_value(form, *_numerators(x)), x) for x in _face_candidates(quad, lin)]
     return (*_pick_argmax(cands), len(cands))
 
 

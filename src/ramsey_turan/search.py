@@ -70,7 +70,8 @@ def graph_from_canonical(n: int, mask: int) -> Graph:
     nbits = n * (n - 1) // 2
     if mask < 0 or mask >> nbits:
         raise ValueError(f"mask {mask} outside [0, 2^{nbits})")
-    return Graph(n, _triangle_rows(n, format(mask, f"0{nbits}b")))
+    _check_order(n)
+    return Graph._unchecked(n, _triangle_rows(n, format(mask, f"0{nbits}b")))
 
 
 @lru_cache(maxsize=None)

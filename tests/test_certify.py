@@ -197,6 +197,12 @@ class TestCensus:
     def test_census_agrees_with_general_counter(self):
         assert mono_triangle_free_count(5) == 12
 
+    @pytest.mark.parametrize("n", [-3, -1, 4097])
+    def test_count_rejects_bad_order(self, n):
+        with pytest.raises(ValueError) as err:
+            mono_triangle_free_count(n)
+        assert str(err.value) == f"vertex count {n} outside [0, 4096]"
+
     def test_five_cycle_predicate_on_all_labelled_graphs(self):
         pairs = list(combinations(range(5), 2))
         cycles = {

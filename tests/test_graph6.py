@@ -126,27 +126,72 @@ def test_canonical_masks_match_reference():
 
 
 def test_empty_line_rejected():
-    with pytest.raises(Graph6Error):
+    with pytest.raises(Graph6Error) as err:
         decode("")
+    assert str(err.value) == "empty graph6 line (byte offset 0)"
 
 
 def test_byte_out_of_range_reports_offset():
     with pytest.raises(Graph6Error) as err:
         decode("B" + chr(20))
     assert err.value.offset == 1
+    assert str(err.value) == "byte 20 outside graph6 range (byte offset 1)"
 
 
 def test_wrong_length_rejected():
-    with pytest.raises(Graph6Error):
+    with pytest.raises(Graph6Error) as err:
         decode("Bww")
-    with pytest.raises(Graph6Error):
+    assert str(err.value) == "expected 1 adjacency bytes for n=3, got 2 (byte offset 2)"
+    with pytest.raises(Graph6Error) as err:
         decode("B")
+    assert str(err.value) == "expected 1 adjacency bytes for n=3, got 0 (byte offset 1)"
 
 
 def test_nonzero_padding_rejected():
     # K3 uses bits 111000; flip a padding bit: 111001 -> 57 + 63 = 'x'
-    with pytest.raises(Graph6Error):
+    with pytest.raises(Graph6Error) as err:
         decode("Bx")
+    assert str(err.value) == "nonzero padding bits (byte offset 1)"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("~~", "graph6 counts above 2^18 are not supported (byte offset 1)"),
+    ("~?", "truncated vertex count (byte offset 2)"),
+    ("~@?@", "vertex count 4097 exceeds cap 4096 (byte offset 0)"),
+    ("~??~", "expected 326 adjacency bytes for n=63, got 0 (byte offset 4)"),
+])
+def test_long_form_header_errors(line, message):
+    with pytest.raises(Graph6Error) as err:
+        decode(line)
+    assert str(err.value) == message
+
+
+def test_decoded_graphs_equal_validated_graphs():
+    # decode and graph_from_canonical skip Graph's validation of the rows
+    rng = random.Random(5150)
+    for _ in range(300):
+        n = rng.randint(0, 70)
+        g = random_graph(n, rng.random(), rng)
+        line = encode(g)
+        for decoded in (decode(line), read_lines(line + "\n")[0]):
+            checked = Graph(decoded.n, decoded.adj)
+            assert decoded == checked == g and hash(decoded) == hash(checked) == hash(g)
+            assert type(decoded.adj) is tuple
+        if n <= 12:
+            nbits = n * (n - 1) // 2
+            mask = rng.getrandbits(nbits) if nbits else 0
+            h = graph_from_canonical(n, mask)
+            checked = Graph(h.n, h.adj)
+            assert h == checked and hash(h) == hash(checked)
+            assert encode(h) == encode(checked)
+
+
+def test_graph_from_canonical_rejects_bad_order():
+    with pytest.raises(ValueError) as err:
+        graph_from_canonical(-1, 0)
+    assert str(err.value) == "vertex count -1 outside [0, 4096]"
+    with pytest.raises(ValueError, match="outside"):
+        graph_from_canonical(-1, 5)
 
 
 def test_multi_line_io():

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramsey_turan import (
     InfeasiblePointError,
@@ -143,6 +145,180 @@ class TestReduction:
         with pytest.raises(InfeasiblePointError):
             reduce_f_over_y((1, 1, 0, 0, 0))
 
+    @pytest.mark.parametrize("length", [4, 6])
+    def test_wrong_length_x_rejected(self, length):
+        message = f"points have 5 x coordinates, not {length}"
+        with pytest.raises(ValueError) as err:
+            reduce_f_over_y((0, 0, 0, 0, 0, 5)[:length])
+        assert str(err.value) == message
+        assert not isinstance(err.value, InfeasiblePointError)
+        with pytest.raises(ValueError) as err:
+            optimal_y((0,) * length)
+        assert str(err.value) == message
+
+
+# Reference: the Fraction formulas the integer evaluators replaced, term by term.
+def ref_check_domain(x, y=None):
+    for i in range(5):
+        if x[i] < 0:
+            raise InfeasiblePointError(f"x{i + 1} = {x[i]} violates x{i + 1} >= 0")
+        if y is not None and y[i] < 0:
+            raise InfeasiblePointError(f"y{i + 1} = {y[i]} violates y{i + 1} >= 0")
+    for i in range(5):
+        j = (i + 1) % 5
+        s = x[i] + x[j] if y is None else x[i] + x[j] + y[i]
+        if s > 1:
+            term = "" if y is None else f" + y{i + 1}"
+            raise InfeasiblePointError(f"x{i + 1} + x{j + 1}{term} = {s} violates <= 1")
+
+
+def ref_eval_f(x, y):
+    x, y = tuple(map(Fr, x)), tuple(map(Fr, y))
+    ref_check_domain(x, y)
+    return (Fr(3, 10) * sum(x) + Fr(1, 5) * sum(y)
+            + sum(x[i] * y[(i + 2) % 5] for i in range(5))
+            + sum(x[i] * x[(i + 2) % 5] for i in range(5)))
+
+
+def ref_eval_g(x):
+    x = tuple(map(Fr, x))
+    ref_check_domain(x)
+    return H * (x[2] + x[3] + x[4]) + sum(x[i] * x[(i + 2) % 5] for i in range(5))
+
+
+def ref_reduce_f_over_y(x):
+    x = tuple(map(Fr, x))
+    ref_check_domain(x)
+    return 1 + Fr(9, 10) * sum(x) - sum(x[i] * x[(i + 2) % 5] for i in range(5))
+
+
+def outcome(fn, *args):
+    """The value, or the exception's type and text."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as err:
+        return type(err), str(err)
+
+
+# small and huge denominators, binary floats such as Fraction(0.1), the boundary
+SMALL = st.one_of(
+    st.fractions(min_value=0, max_value=Fr(1, 3), max_denominator=60),
+    st.fractions(min_value=0, max_value=Fr(1, 3)),
+    st.floats(min_value=0, max_value=1 / 3).map(Fr),
+    st.sampled_from([Fr(0), Fr(1, 3), Fr(0.1), Fr(1, 10**30)]),
+)
+WILD = st.one_of(
+    SMALL,
+    st.fractions(min_value=-2, max_value=2),
+    st.floats(min_value=-2, max_value=2).map(Fr),
+    st.integers(min_value=-2, max_value=2).map(Fr),
+    st.sampled_from([Fr(1), Fr(1, 2), Fr(2, 3), -Fr(0.1)]),
+)
+
+
+@st.composite
+def points(draw, with_y):
+    """Feasible (every coordinate <= 1/3) or arbitrary rational points."""
+    coord = SMALL if draw(st.booleans()) else WILD
+    x = tuple(draw(coord) for _ in range(5))
+    return (x, tuple(draw(coord) for _ in range(5))) if with_y else (x, None)
+
+
+@st.composite
+def first_violation(draw, with_y, k):
+    """A point whose first violated constraint, in the domain check's order,
+    is number k: x1 >= 0, (y1 >= 0,) x2 >= 0, ..., then the five sums."""
+    x = [draw(SMALL) for _ in range(5)]
+    y = [draw(SMALL) for _ in range(5)] if with_y else None
+    coords = [(x, i) for i in range(5)] if y is None else [
+        c for i in range(5) for c in ((x, i), (y, i))]
+    over = draw(st.fractions(min_value=0, max_value=Fr(1, 6)).filter(bool))
+    if k < len(coords):
+        # later signs may fail too: a negative coordinate breaks no sum
+        for j, (vec, i) in enumerate(coords[k:]):
+            if j == 0 or draw(st.booleans()):
+                vec[i] = -draw(WILD.map(abs)) - over
+    else:
+        i = k - len(coords)
+        if y is None:
+            x[i] = x[(i + 1) % 5] = H + over
+        else:
+            y[i] = 1 + over
+            for j in range(i + 1, 5):
+                if draw(st.booleans()):
+                    y[j] = 1 + draw(SMALL)
+    return tuple(x), None if y is None else tuple(y)
+
+
+def as_inputs(draw, x):
+    """Each coordinate as a Fraction, int, str or float with that value."""
+    kinds = [lambda v: v, str, lambda v: int(v) if v.denominator == 1 else v]
+    out = []
+    for v in x:
+        kind = draw(st.sampled_from(kinds + ([float] if float(v) == v else [])))
+        out.append(kind(v))
+    return tuple(out)
+
+
+class TestExactEvaluatorsMatchReference:
+    @given(points(with_y=True))
+    @settings(max_examples=100, deadline=None)
+    def test_eval_f(self, point):
+        x, y = point
+        assert outcome(eval_f, QpPoint(x, y)) == outcome(ref_eval_f, x, y)
+
+    @given(points(with_y=False))
+    @settings(max_examples=100, deadline=None)
+    def test_eval_g(self, point):
+        x, _ = point
+        assert outcome(eval_g, QpPoint(x)) == outcome(ref_eval_g, x)
+
+    @given(points(with_y=False), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_reduce_f_over_y_any_input_type(self, point, data):
+        raw = as_inputs(data.draw, point[0])
+        assert outcome(reduce_f_over_y, raw) == outcome(ref_reduce_f_over_y, raw)
+
+    @given(st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_each_constraint_violated_first_in_f(self, data):
+        names = [f"{v}{i + 1} =" for i in range(5) for v in "xy"]
+        names += [f"x{i + 1} + x{(i + 1) % 5 + 1} + y{i + 1} =" for i in range(5)]
+        for k, name in enumerate(names):
+            x, y = data.draw(first_violation(True, k))
+            expected = outcome(ref_eval_f, x, y)
+            assert expected[0] is InfeasiblePointError
+            assert expected[1].startswith(name)
+            assert outcome(eval_f, QpPoint(x, y)) == expected
+
+    @given(st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_each_constraint_violated_first_in_g_and_reduction(self, data):
+        names = [f"x{i + 1} =" for i in range(5)]
+        names += [f"x{i + 1} + x{(i + 1) % 5 + 1} =" for i in range(5)]
+        for k, name in enumerate(names):
+            x, _ = data.draw(first_violation(False, k))
+            expected = outcome(ref_eval_g, x)
+            assert expected[0] is InfeasiblePointError
+            assert expected[1].startswith(name)
+            assert outcome(eval_g, QpPoint(x)) == expected
+            raw = as_inputs(data.draw, x)
+            assert outcome(reduce_f_over_y, raw) == outcome(ref_reduce_f_over_y, raw) == expected
+
+    @given(st.lists(st.one_of(st.just(Fr(0)), st.fractions(-3, 3, max_denominator=40)),
+                    min_size=31, max_size=31),
+           st.tuples(*[WILD] * 5))
+    @settings(max_examples=40, deadline=None)
+    def test_integer_form_of_a_general_quadratic(self, entries, x):
+        # the scoring of _exact_max against the 25-term Fraction form
+        quad = [entries[5 * i:5 * i + 5] for i in range(5)]
+        lin, const = entries[25:30], entries[30]
+        expected = (const + sum(lin[i] * x[i] for i in range(5))
+                    + sum(x[i] * quad[i][j] * x[j] for i in range(5) for j in range(5)))
+        value = qp._form_value(qp._integer_form(quad, lin, const), *qp._numerators(x))
+        assert value == expected
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+
 
 class TestMaximize:
     def test_f_value_and_structure(self, f_cert):
@@ -273,11 +449,12 @@ class TestFaces:
 
 
 class TestLattice:
-    @pytest.mark.parametrize("objective", [qp._F, qp._G], ids=["f", "g"])
-    def test_float_objective_matches_exact_value(self, objective):
+    @pytest.mark.parametrize("objective, form", [(qp._F, qp._F_FORM), (qp._G, qp._G_FORM)],
+                             ids=["f", "g"])
+    def test_float_objective_matches_exact_value(self, objective, form):
         floats = qp._float_objective(objective)
         for x in qp._lattice():
-            exact = qp._value(objective, tuple(Fr(round(10 * v), 10) for v in x))
+            exact = qp._form_value(form, *qp._numerators([Fr(round(10 * v), 10) for v in x]))
             assert abs(qp._value(floats, x) - exact) <= 1e-12
 
     def test_nested_loops_match_filtered_product(self):
