@@ -370,6 +370,11 @@ def construction_37(
     """
     if n <= 0 or n % 8:
         raise ValueError(f"n={n} must be a positive multiple of 8")
+    if n < 16:
+        raise ValueError(
+            f"n={n} must be >= 16: each of the 8 parts needs at least 2 vertices"
+            " for its f-graph"
+        )
     q = _check_order(n) // 8
     planted = _exact_f_graph(q, d, "d")
     partition = turan_partition(n, 8)

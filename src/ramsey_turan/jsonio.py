@@ -58,22 +58,25 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int_lists(value, what: str, width: int | None = None) -> list[tuple[int, ...]]:
-    """Validate a list of integer lists (each of ``width`` entries if given).
+def _int_lists(value, what: str, width: int | None = None) -> list[list[int]]:
+    """Validate a list of integer lists (each of ``width`` entries if given)
+    and return it as it is.
 
-    Shapes are checked row by row; entry types once, over the set of types
-    that occur (``bool`` is an ``int`` subclass but not an integer here).
+    Row types, row lengths and entry types are each checked once over the
+    set of values that occur, built by C loops (``bool`` is an ``int``
+    subclass but not an integer here), so no Python code runs per row.
     """
     if (
         not isinstance(value, list)
-        or not all(isinstance(row, list) and width in (None, len(row)) for row in value)
+        or not all(issubclass(kind, list) for kind in set(map(type, value)))
+        or (width is not None and not set(map(len, value)) <= {width})
         or not all(
             issubclass(kind, int) and kind is not bool
             for kind in set(map(type, chain.from_iterable(value)))
         )
     ):
         raise ValueError(f"{what} must be a list of integer lists")
-    return [tuple(row) for row in value]
+    return value
 
 
 def _vertex_count(doc: dict) -> int:

@@ -97,10 +97,12 @@ def _closes(rows, common, need):
     """Does the colour class ``rows`` hold a K_need inside the bitset
     ``common``?  Placing a pair uv in that class closes a K_{need + 2} iff it
     does, with ``common`` the class's common neighbourhood of u and v.  A
-    K_1 is any vertex and a K_2 any vertex with a neighbour in ``common``;
-    larger cliques go to the shared clique engine."""
-    if need == 1:
-        return common != 0
+    K_need needs ``need`` vertices, so a popcount below ``need`` settles
+    the answer without a search; a K_2 is any vertex with a neighbour in
+    ``common``; other cliques go to the shared clique engine (the edge
+    search tests need 1, a non-empty ``common``, before calling)."""
+    if common.bit_count() < need:
+        return False
     if need == 2:
         rest = common
         while rest:
@@ -133,13 +135,14 @@ def _edge_search(n, pairs, needs, budget, caps=None, floor=0):
     Pair i gets the colours of ``_COLORS`` in order: 1, 2, then 0.
     Colour c is allowed on uv iff ``needs[c] > 0`` and colour c has no
     K_{needs[c]} in the common neighbourhood of u and v, i.e. placing uv
-    closes no K_{needs[c] + 2} (``_closes``: a bit test for needs 1 and 2,
-    the clique engine above).  Colour 0 stands for a non-edge and is tried
-    only while it keeps the count of zeros below the best completed
-    assignment (branch and bound); a completed assignment becomes the new
-    best, and one with at most ``floor`` zeros ends the search.  Each
-    attempted assignment counts one node; a colour with need 0 is never
-    tried.
+    closes no K_{needs[c] + 2}.  For need 1 that is an empty common
+    neighbourhood, tested inline; larger needs go to ``_closes`` (a popcount,
+    then a bit test for need 2 and the clique engine above).  Colour 0
+    stands for a non-edge and is tried only while it keeps the count of
+    zeros below the best completed assignment (branch and bound); a
+    completed assignment becomes the new best, and one with at most
+    ``floor`` zeros ends the search.  Each attempted assignment counts one
+    node; a colour with need 0 is never tried.
 
     When ``needs[1] == needs[2]`` colours 1 and 2 are interchangeable, and
     colour 2 is skipped (and not counted) while every pair placed so far is
@@ -201,6 +204,7 @@ def _edge_search(n, pairs, needs, budget, caps=None, floor=0):
     nodes).
     """
     layers = [[0] * n, [0] * n, [0] * n]
+    bits = [1 << x for x in range(n)]
     total = len(pairs)
     # a colour with need 0 is never placed, so it is never tried
     colors = [c for c in _COLORS if needs[c] > 0]
@@ -214,12 +218,14 @@ def _edge_search(n, pairs, needs, budget, caps=None, floor=0):
     best_zeros = total + 1
     zeros = nodes = i = k = 0
     # low: non-edges each vertex needs; twice_lb: the sum over the vertices
-    # of max(non-edges so far, low), twice a lower bound on the final zeros
-    low = twice_lb = 0
+    # of max(non-edges so far, low), twice a lower bound on the final zeros;
+    # lb = (twice_lb + 1) >> 1, the bound itself, updated with twice_lb
+    low = twice_lb = lb = 0
     if caps is not None:
         low = max(0, n - 1 - caps[1] - caps[2])
         twice_lb = n * low
-        floor = max(floor, (twice_lb + 1) >> 1)
+        lb = (twice_lb + 1) >> 1
+        floor = max(floor, lb)
         # lex[i] = (index of pair (k, v - 1) or -1, row v, row k) for pair (k, v)
         lex = [
             ((v - 1) * (v - 2) // 2 + k if k < v - 1 else -1, v, k)
@@ -236,7 +242,7 @@ def _edge_search(n, pairs, needs, budget, caps=None, floor=0):
             best_zeros = zeros
             if zeros <= floor:
                 return best, True, nodes
-        elif (twice_lb + 1) >> 1 < best_zeros:
+        elif lb < best_zeros:
             u, v = pairs[i]
             while k < ncolors:
                 c = colors[k]
@@ -268,15 +274,18 @@ def _edge_search(n, pairs, needs, budget, caps=None, floor=0):
                             continue
                         decided[row_b] = i if other < rank else total
                 common = rows[u] & rows[v]
-                if common and _closes(rows, common, needs[c]):
-                    continue
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+                if common:
+                    need = needs[c]
+                    if need == 1 or _closes(rows, common, need):
+                        continue
+                rows[u] |= bits[v]
+                rows[v] |= bits[u]
                 placed[i] = c
                 choice[i] = k
                 if not c:
                     zeros += 1
                     twice_lb += step
+                    lb = (twice_lb + 1) >> 1
                 i += 1
                 k = 0
                 break
@@ -289,11 +298,13 @@ def _edge_search(n, pairs, needs, budget, caps=None, floor=0):
         u, v = pairs[i]
         c = placed[i]
         rows = layers[c]
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
+        # both bits were set when the pair was placed
+        rows[u] ^= bits[v]
+        rows[v] ^= bits[u]
         if not c:
             zeros -= 1
             twice_lb -= (rows[u].bit_count() >= low) + (rows[v].bit_count() >= low)
+            lb = (twice_lb + 1) >> 1
         k = choice[i]
 
 
@@ -367,6 +378,9 @@ class ColoringSearch:
 
 def _check_search_args(p: int, q: int, budget: int):
     _check_clique_sizes(p, q)
+    # bool is an int subclass, but True is no node count
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise ValueError(f"budget must be an integer, not {budget!r}")
     if budget <= 0:
         raise ValueError("budget must be positive")
 
@@ -385,9 +399,8 @@ def find_free_coloring(
     Each attempted edge-color assignment counts one node against the budget.
     """
     _check_search_args(p, q, budget)
-    edges = sorted(
-        g.edges(), key=lambda e: (-(g.degree(e[0]) + g.degree(e[1])), e)
-    )
+    degree = [row.bit_count() for row in g.adj]
+    edges = sorted(g.edges(), key=lambda e: (-(degree[e[0]] + degree[e[1]]), e))
     # a K_p (K_q) through uv is a K_{p-2} (K_{q-2}) in their common
     # neighbourhood; need 0 keeps colour 0 (non-edge) off every edge
     found, exhausted, nodes = _edge_search(g.n, edges, (0, p - 2, q - 2), budget)

@@ -8,13 +8,14 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from enum import IntEnum
 from fractions import Fraction as Fr
+from itertools import chain
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramsey_turan import ColoredGraph, Graph, VertexPartition, graph6, pentagonlike
+from ramsey_turan import ColoredGraph, Graph, VertexPartition, graph6, jsonio, pentagonlike
 from ramsey_turan.constructions import Distance, KklParams, construction_37, kkl_36
 from ramsey_turan.cli import _build_parser, cli_dispatch
 from ramsey_turan.jsonio import (
@@ -141,9 +142,86 @@ def int_lists_per_entry(value, what, width=None):
 
 def int_lists_outcome(check, value, width):
     try:
-        return check(value, "'edges'", width)
+        return [tuple(row) for row in check(value, "'edges'", width)]
     except ValueError as exc:
         return str(exc)
+
+
+def parent_int_lists(value, what, width=None):
+    """Reference: the row-by-row check that copied every row into a tuple."""
+    if (
+        not isinstance(value, list)
+        or not all(isinstance(row, list) and width in (None, len(row)) for row in value)
+        or not all(
+            issubclass(kind, int) and kind is not bool
+            for kind in set(map(type, chain.from_iterable(value)))
+        )
+    ):
+        raise ValueError(f"{what} must be a list of integer lists")
+    return [tuple(row) for row in value]
+
+
+def read_outcome(read, doc):
+    try:
+        return read(doc)
+    except Exception as exc:  # the type and text are compared
+        return type(exc), str(exc)
+
+
+# JSON values an edge or part row may hold: vertices in and out of range,
+# bools, floats, nested lists, huge vertices and non-numbers
+json_entries = st.one_of(
+    st.integers(-2, 12),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.just(10**30),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.text(max_size=2),
+    st.none(),
+)
+
+
+@st.composite
+def json_rows(draw, n):
+    """A row list: mostly well-formed colour edges or vertex lists, some of
+    the wrong width, some with a stray entry, some not lists at all."""
+    rows = []
+    kinds = ["edge"] if draw(st.booleans()) else ["edge"] * 3 + ["list", "entries", "scalar"]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "edge" and n >= 2:
+            u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+            rows.append([u, v, draw(st.sampled_from([1, 2]))])
+        elif kind == "list":
+            rows.append(draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=4)))
+        elif kind == "scalar":
+            rows.append(draw(json_entries))
+        else:
+            rows.append(draw(st.lists(json_entries, min_size=2, max_size=4)))
+    return rows
+
+
+@st.composite
+def json_documents(draw):
+    """Mostly valid vertex counts and row lists, with parts that cover the
+    vertices about half the time they are drawn."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6] * 3 + [True, 2.0, -1]))
+    size = n if type(n) is int and n > 0 else 3
+    doc = {"n": n}
+    edges = draw(st.sampled_from(["rows"] * 8 + ["entry", "none"]))
+    if edges != "none":
+        doc["edges"] = draw(json_rows(size) if edges == "rows" else json_entries)
+    kind = draw(st.sampled_from(["cover", "rows", "entry", "none"]))
+    if kind == "cover":
+        order = draw(st.permutations(range(size)))
+        cuts = sorted(draw(st.lists(st.integers(0, size), max_size=3)))
+        doc["parts"] = [list(order[a:b]) for a, b in zip([0, *cuts], [*cuts, size])]
+    elif kind == "rows":
+        doc["parts"] = draw(json_rows(size))
+    elif kind == "entry":
+        doc["parts"] = draw(json_entries)
+    # what the reader sees is what a JSON text decodes to
+    return json.loads(json.dumps(doc))
 
 
 class TestIntLists:
@@ -167,6 +245,20 @@ class TestIntLists:
             else:
                 accepted += 1
         assert accepted > 300 and rejected > 300
+
+    @settings(max_examples=400, deadline=None)
+    @given(json_documents())
+    def test_documents_read_as_with_row_copies(self, doc):
+        # the same graph or partition, or the same exception type and text,
+        # as the reader that validated row by row and copied every row
+        for read in (colored_graph_from_dict, partition_from_dict):
+            outcome = read_outcome(read, doc)
+            with mock.patch.object(jsonio, "_int_lists", parent_int_lists):
+                assert outcome == read_outcome(read, doc)
+
+    def test_rows_returned_without_copies(self):
+        edges = [[0, 1, 1], [1, 2, 2]]
+        assert _int_lists(edges, "'edges'", 3) is edges
 
 
 class TestCliCommands:
@@ -313,6 +405,16 @@ class TestCliCommands:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    def test_c37_too_small_exits_2(self, capsys):
+        code = cli_dispatch(["construct", "c37", "--n", "8", "--d", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: n=8 must be >= 16: each of the 8 parts needs at least 2"
+            " vertices for its f-graph\n"
+        )
 
     def test_report_table_clique_needs_delta(self, capsys):
         assert cli_dispatch(["report", "table", "--clique", "5"]) == 2

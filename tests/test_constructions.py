@@ -330,6 +330,15 @@ class TestConstruction37:
         with pytest.raises(ValueError):
             construction_37(36, 2)
 
+    def test_too_small_rejected_naming_n(self):
+        # eight parts of one vertex leave no room for a planted f-graph
+        with pytest.raises(ValueError) as err:
+            construction_37(8, 1)
+        assert str(err.value) == (
+            "n=8 must be >= 16: each of the 8 parts needs at least 2 vertices"
+            " for its f-graph"
+        )
+
     def test_unrealizable_degree_rejected(self):
         with pytest.raises(ConstructionError):
             construction_37(40, 3)

@@ -23,6 +23,7 @@ from ramsey_turan import (
     rt_exact,
 )
 from ramsey_turan.certify import _is_five_cycle
+from ramsey_turan.constructions import turan
 from ramsey_turan.graphs import MAX_VERTICES, _clique_engine
 from ramsey_turan.search import _closes, _colorable, _degree_caps
 
@@ -93,25 +94,39 @@ class TestCanonical:
 
 @st.composite
 def closure_cases(draw):
-    """A random symmetric colour class on n <= 12 vertices, a random vertex
-    bitset and a clique size of 1 to 4."""
-    n = draw(st.integers(1, 12))
+    """A random symmetric colour class on n <= 16 vertices, a clique size of
+    1 to 6 and a vertex bitset: random, or with exactly need - 1 or need
+    vertices, either side of the popcount test."""
+    n = draw(st.integers(1, 16))
     rows = [0] * n
     for v in range(n):
         for u in range(v):
             if draw(st.booleans()):
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-    return rows, draw(st.integers(0, (1 << n) - 1)), draw(st.integers(1, 4))
+    need = draw(st.integers(1, 6))
+    size = draw(st.sampled_from([None, need - 1, need]))
+    if size is None or size > n:
+        common = draw(st.integers(0, (1 << n) - 1))
+    else:
+        members = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True))
+        common = sum(1 << v for v in members)
+    return rows, common, need
 
 
 class TestClosure:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(closure_cases())
     def test_matches_clique_engine(self, case):
         rows, common, need = case
         engine = _clique_engine(rows, common, need - 1, need)[0] >= need
         assert _closes(rows, common, need) == engine
+
+    def test_k4_free_tripartite_class(self):
+        # 600 vertices pass the popcount; the engine's colour bound (three
+        # colours) refutes a K_4 at its root
+        rows = turan(600, 3).adj
+        assert not _closes(rows, (1 << 600) - 1, 4)
 
 
 def seeded_graph(seed: int) -> Graph:
@@ -158,6 +173,18 @@ class TestFindFreeColoring:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             find_free_coloring(Graph.complete(3), 3, 3, budget=0)
+
+    @pytest.mark.parametrize("budget", [True, False, 2.5, 1e6, "10", None])
+    def test_non_integer_budget_rejected(self, budget):
+        calls = [
+            lambda: find_free_coloring(Graph.complete(4), 3, 3, budget=budget),
+            lambda: ramsey_verify(3, 3, 4, budget=budget),
+            lambda: RtInstance(n=4, p=3, q=3, m=1, budget=budget),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"budget must be an integer, not {budget!r}"
 
     def test_no_colour_allowed(self):
         # p = q = 2 forbids both colours: any edge refutes at once, with no node
