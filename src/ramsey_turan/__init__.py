@@ -38,11 +38,9 @@ from .graphs import (
     Graph,
     VertexPartition,
     clique_number,
-    crossing_edge_count,
     find_clique,
     independence_number,
     min_crossing_degree,
-    min_degree_refinement,
 )
 from .qp import (
     CertificationError,

@@ -112,11 +112,17 @@ FORMULAS = {
 
 
 def edge_formula_check(cg: ColoredGraph, formula: str, delta, tol) -> Certificate:
-    """Pass iff |e(G) - coefficient(delta) * n^2| <= tol * n^2, exactly."""
+    """Pass iff |e(G) - coefficient(delta) * n^2| <= tol * n^2, exactly.
+
+    The coefficients are the density formulas at an independence scale
+    delta in [0, 1); any other delta raises ``ValueError``.
+    """
     key = formula.lower()
     if key not in FORMULAS:
         raise ValueError(f"unknown formula {formula!r}; expected kkl36 or c37")
     delta = Fraction(delta)
+    if not 0 <= delta < 1:
+        raise ValueError(f"delta={delta} outside [0, 1)")
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -359,7 +365,9 @@ def audit_partition(
             "P8_alpha": max(alpha2[i] for i in rest),
         }
         own_ok = decide(own)
-        x6_rows = [deg1[v] for v in part.parts[x6]]
+        # P3, P3_exists and P4 are maxima over these rows, so each distinct
+        # row is scored once
+        x6_rows = {tuple(deg1[v]) for v in part.parts[x6]}
         for tail in permutations(rest[1:]):
             if tail[0] > tail[-1]:
                 continue

@@ -179,6 +179,11 @@ class TestEdgeFormula:
         with pytest.raises(ValueError):
             edge_formula_check(pentagonlike(range(5)), "nope", Fraction(0), Fraction(1))
 
+    @pytest.mark.parametrize("delta", [Fraction(-1, 3), Fraction(1), Fraction(5)])
+    def test_delta_outside_unit_interval_rejected(self, delta):
+        with pytest.raises(ValueError, match=rf"^delta={delta} outside \[0, 1\)$"):
+            edge_formula_check(kkl60().colored_graph, "kkl36", delta, Fraction(1))
+
 
 class TestCensus:
     def test_exactly_twelve_all_pentagonlike(self):
@@ -332,6 +337,22 @@ class TestAuditPartition:
         # measured margins are reported alongside thresholds
         for row in cert.checks:
             assert row.bound >= 0
+
+    def test_relabelled_kkl60_gives_the_native_certificate(self):
+        # the sixth part's rows are scored as a set, so their order is moot
+        built = kkl60()
+        cg, part = built.colored_graph, built.partition
+        perm = random.Random(28).sample(range(60), 60)
+        moved = ColoredGraph.from_colored_edges(
+            60, [(perm[u], perm[v], cg.coloring.color(u, v)) for u, v in cg.graph.edges()]
+        )
+        moved_part = VertexPartition(60, [[perm[v] for v in p] for p in part.parts])
+        for gamma in AUDIT_GAMMAS:
+            native = audit_partition(cg, part, AuditConfig(gamma))
+            relabelled = audit_partition(moved, moved_part, AuditConfig(gamma))
+            assert relabelled.status == native.status
+            assert relabelled.checks == native.checks
+            assert relabelled.params == native.params
 
     def test_t12_pentagon_p6(self):
         cg = pentagon_pattern_t12()

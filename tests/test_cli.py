@@ -406,6 +406,18 @@ class TestCliCommands:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("delta", ["-1/3", "1", "5"])
+    def test_verify_formula_rejects_delta_outside_unit_interval(self, capsys, tmp_path, delta):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"n": 3, "edges": [[0, 1, 1]]}))
+        # --delta=X, since argparse reads a bare -1/3 as an option
+        code = cli_dispatch(["verify", "formula", "--formula", "kkl36", f"--delta={delta}",
+                             "--tol", "1", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: delta={delta} outside [0, 1)\n"
+
     def test_c37_too_small_exits_2(self, capsys):
         code = cli_dispatch(["construct", "c37", "--n", "8", "--d", "1"])
         captured = capsys.readouterr()

@@ -1,7 +1,6 @@
 import random
 import sys
 import time
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -14,11 +13,9 @@ from ramsey_turan import (
     Graph,
     VertexPartition,
     clique_number,
-    crossing_edge_count,
     find_clique,
     independence_number,
     min_crossing_degree,
-    min_degree_refinement,
     turan,
     turan_partition,
 )
@@ -508,8 +505,33 @@ def relabelled(g: Graph, rng: random.Random) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def planted_twins(rng: random.Random, n: int) -> Graph:
+    """A random quotient blown up to ``n`` vertices, each of its vertices into
+    a class of false twins (independent) or of true twins (a clique), with a
+    few pairs then flipped so that some classes only nearly stay twins."""
+    k = rng.randint(1, (n + 1) // 2)
+    cuts = sorted(rng.sample(range(1, n), k - 1))
+    bounds = list(zip([0] + cuts, cuts + [n]))
+    quotient = random_graph(k, rng.random(), rng.randrange(10**6))
+    edges = set()
+    for lo, hi in bounds:
+        if rng.random() < 0.5:
+            edges |= set(combinations(range(lo, hi), 2))
+    for a, b in quotient.edges():
+        (alo, ahi), (blo, bhi) = bounds[a], bounds[b]
+        edges |= {(u, v) for u in range(alo, ahi) for v in range(blo, bhi)}
+    pairs = list(combinations(range(n), 2))
+    for pair in rng.sample(pairs, min(len(pairs), rng.randint(0, 3))):
+        edges ^= {pair}
+    return Graph.from_edges(n, edges)
+
+
 def kernel_cases(seed: int):
     rng = random.Random(seed)
+    # both sides of the kernel's small-node cut
+    for n in range(2, 41):
+        for _ in range(3):
+            yield relabelled(planted_twins(rng, n), rng), rng
     for _ in range(240):
         g = substitution_graph(rng, rng.randint(1, 4))
         if g.n <= 60:
@@ -521,7 +543,7 @@ def kernel_cases(seed: int):
 
 class TestOmegaKernel:
     """The modular-decomposition kernel against the plain branch and bound,
-    on relabelled substitution graphs and G(n, p)."""
+    on relabelled planted-twin blow-ups, substitution graphs and G(n, p)."""
 
     def test_matches_engine_with_rechecked_witnesses(self):
         for g, rng in kernel_cases(2024):
@@ -544,6 +566,24 @@ class TestOmegaKernel:
             if found is not None:
                 assert len(found) == stop_at
                 assert_clique(g, found)
+
+    def test_vertex_subsets_of_planted_twins(self):
+        # twin classes are taken in G[S], whose rows are adj[v] & S
+        rng = random.Random(28)
+        for _ in range(300):
+            g = relabelled(planted_twins(rng, rng.randint(2, 40)), rng)
+            co = g.complement().adj
+            S = rng.randrange(1 << g.n)
+            for rows in (g.adj, co):
+                omega = _clique_engine(rows, S, 0, None)[0]
+                size, mask = _omega(rows, S, None)
+                assert size == omega == mask.bit_count()
+                assert mask & ~S == 0
+                assert_clique(Graph(g.n, rows), tuple(bit_indices(mask)))
+                stop_at = rng.randint(1, omega + 1)
+                size, mask = _omega(rows, S, stop_at)
+                assert mask & ~S == 0 and size == mask.bit_count()
+                assert size == omega if omega < stop_at else stop_at <= size <= omega
 
 
 def heaviest_clique_weight(g: Graph, start: int, weights) -> int:
@@ -661,38 +701,3 @@ class TestMinCrossingDegree:
     def test_single_part_rejected(self):
         with pytest.raises(ValueError):
             min_crossing_degree(Graph.cycle(5), VertexPartition(5, [range(5)]))
-
-
-class TestMinDegreeRefinement:
-    def test_k4_plus_pendant(self):
-        g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)])
-        kept, sub = min_degree_refinement(g, Fraction(1, 2))
-        assert kept == (0, 1, 2, 3)
-        assert sub == Graph.complete(4)
-
-    def test_c5_low_threshold_is_fixed_point(self):
-        kept, sub = min_degree_refinement(Graph.cycle(5), Fraction(2, 5))
-        assert kept == (0, 1, 2, 3, 4)
-        assert sub == Graph.cycle(5)
-
-    def test_c5_half_empties(self):
-        kept, sub = min_degree_refinement(Graph.cycle(5), Fraction(1, 2))
-        assert kept == ()
-        assert sub.n == 0
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            min_degree_refinement(Graph.cycle(5), Fraction(0))
-        with pytest.raises(ValueError):
-            min_degree_refinement(Graph.cycle(5), Fraction(3, 2))
-
-    @given(
-        graphs_strategy,
-        st.fractions(min_value=Fraction(1, 100), max_value=1),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_result_is_fixed_point(self, g, d):
-        kept, sub = min_degree_refinement(g, d)
-        assert sub.n == len(kept)
-        for v in range(sub.n):
-            assert sub.degree(v) * d.denominator >= d.numerator * sub.n
