@@ -4,8 +4,14 @@ Exit codes: 0 all checks passed, 1 an emitted certificate failed, 2 usage or
 input error.  Colored graphs travel as canonical JSON on stdin/stdout;
 uncolored graphs as graph6 lines; reports as CSV.
 
-Every leaf command binds its handler as the ``run`` default of its parser;
-a handler takes the parsed arguments and returns the exit code.
+Each leaf command ``rturan <group> <name>`` is declared once, in
+``_LEAVES``, with its help, its handler and its flags; a handler takes the
+parsed arguments and returns the exit code.  ``cli_dispatch`` looks up the
+first two words of argv there and parses the rest with that leaf's own
+parser, built alone on first use.  The whole tree is built from the same
+table only when argv names no leaf (top-level or group help, an unknown
+command, options before the command) or the leaf meets an argument it does
+not know, so every help text and error message is the tree's.
 """
 
 from __future__ import annotations
@@ -182,90 +188,132 @@ _FLAGS = {
 }
 
 
+def _rational(name):
+    return (name, {"type": _fraction, "required": True})
+
+
+_GROUPS = {
+    "construct": "emit a construction",
+    "verify": "emit a certificate",
+    "search": "run a brute-force search",
+    "qp": "certified quadratic maxima",
+    "report": "density tables",
+}
+
+# (group, name) -> (help, handler, flags); each flag is a name in ``_FLAGS``
+# or a pair (name, spec) of a flag that this leaf alone has
+_LEAVES = {
+    ("construct", "kkl36"): (
+        "six-part colored construction", _colored(_kkl36),
+        ("n", ("d1", _INT), ("m2", _INT), ("d2", _INT),
+         ("variant", {"choices": ["text", "figure"], "default": "figure"}),
+         "format", "with-parts")),
+    ("construct", "c37"): (
+        "eight-part colored construction",
+        _colored(lambda a: construction_37(a.n, a.d, Distance(a.distance))),
+        ("n", "d", ("distance", {"choices": ["cyclic", "literal"], "default": "cyclic"}),
+         "format", "with-parts")),
+    ("construct", "turan"): (
+        "balanced complete multipartite graph",
+        lambda a: _write(graph6.encode(turan(a.n, a.parts)) + "\n"), ("n", ("parts", _INT))),
+    ("construct", "andrasfai"): (
+        "triangle-free circulant",
+        lambda a: _write(graph6.encode(andrasfai(a.k)) + "\n"), (("k", _INT),)),
+    ("construct", "fgraph"): ("regular triangle-free graph", _fgraph, ("m", "d")),
+    ("verify", "free"): (
+        "monochromatic-clique freeness",
+        _certificate(lambda a, doc, cg: check_colored_free(cg, a.p, a.q)),
+        ("p", "q", "input")),
+    ("verify", "witness"): (
+        "freeness plus independence cap",
+        _certificate(lambda a, doc, cg: check_rt_witness(cg, a.p, a.q, a.m)),
+        ("p", "q", "m", "input")),
+    ("verify", "formula"): (
+        "edge-count formula check",
+        _certificate(lambda a, doc, cg: edge_formula_check(cg, a.formula, a.delta, a.tol)),
+        (("formula", {"choices": ["kkl36", "c37"], "required": True}),
+         _rational("delta"), _rational("tol"), "input")),
+    ("verify", "audit"): (
+        "six-part partition property audit",
+        _certificate(lambda a, doc, cg: audit_partition(
+            cg, jsonio.partition_from_dict(doc), AuditConfig(gamma=a.gamma))),
+        (_rational("gamma"), "input")),
+    ("verify", "census"): ("triangle-free coloring census of K5", _census, ()),
+    ("search", "rt"): ("exact extremal edge count", _rt, ("n", "p", "q", "m", "budget")),
+    ("search", "coloring"): (
+        "free coloring of a given graph", _coloring,
+        ("p", "q", "budget", ("g6", {"default": None, "help": "graph6 line (default: stdin)"}))),
+    ("search", "ramsey"): (
+        "does K_n admit a free coloring?",
+        lambda a: _write("true\n" if ramsey_verify(a.p, a.q, a.n, a.budget) else "false\n"),
+        ("p", "q", "n", "budget")),
+    ("qp", "f"): ("ten-variable objective", lambda a: _qp(maximize_f), ()),
+    ("qp", "g"): ("five-variable objective", lambda a: _qp(maximize_g), ()),
+    ("report", "table"): (
+        "reference density constants", _table,
+        (("delta", {"type": _fraction, "action": "append", "default": []}),
+         ("clique", {"type": int, "action": "append", "default": [],
+                     "help": "single-clique sizes to tabulate at each --delta"}))),
+    ("report", "gaps"): (
+        "lower/upper bound gap per delta",
+        lambda a: _write(report.gap_report_csv(a.delta)),
+        (("delta", {"type": _fraction, "action": "append", "required": True}),)),
+}
+
+
+def _fill_leaf(parser: argparse.ArgumentParser, run, flags) -> argparse.ArgumentParser:
+    for flag in flags:
+        flag, spec = (flag, _FLAGS[flag]) if isinstance(flag, str) else flag
+        parser.add_argument(f"--{flag}", **spec)
+    parser.set_defaults(run=run)
+    return parser
+
+
+@functools.cache
+def _leaf_parser(group: str, name: str) -> argparse.ArgumentParser:
+    """The parser of one leaf alone, built once per process; it is the
+    tree's subparser of that leaf, with the same prog, flags and handler."""
+    _, run, flags = _LEAVES[group, name]
+    return _fill_leaf(argparse.ArgumentParser(prog=f"rturan {group} {name}"), run, flags)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+    """The whole argument tree, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rturan",
         description="exact constructions, certificates and brute-force "
         "oracles for two-colored clique-avoidance extremal problems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def group(name, help):
-        return sub.add_parser(name, help=help).add_subparsers(dest="what", required=True)
-
-    def leaf(parent, name, help, run, *flags):
-        """A leaf command; each flag is a name in ``_FLAGS`` or a pair
-        (name, spec) of a flag that this leaf alone has."""
-        command = parent.add_parser(name, help=help)
-        for flag in flags:
-            flag, spec = (flag, _FLAGS[flag]) if isinstance(flag, str) else flag
-            command.add_argument(f"--{flag}", **spec)
-        command.set_defaults(run=run)
-
-    def fraction(name):
-        return (name, {"type": _fraction, "required": True})
-
-    con = group("construct", "emit a construction")
-    leaf(con, "kkl36", "six-part colored construction", _colored(_kkl36),
-         "n", ("d1", _INT), ("m2", _INT), ("d2", _INT),
-         ("variant", {"choices": ["text", "figure"], "default": "figure"}),
-         "format", "with-parts")
-    leaf(con, "c37", "eight-part colored construction",
-         _colored(lambda a: construction_37(a.n, a.d, Distance(a.distance))),
-         "n", "d", ("distance", {"choices": ["cyclic", "literal"], "default": "cyclic"}),
-         "format", "with-parts")
-    leaf(con, "turan", "balanced complete multipartite graph",
-         lambda a: _write(graph6.encode(turan(a.n, a.parts)) + "\n"), "n", ("parts", _INT))
-    leaf(con, "andrasfai", "triangle-free circulant",
-         lambda a: _write(graph6.encode(andrasfai(a.k)) + "\n"), ("k", _INT))
-    leaf(con, "fgraph", "regular triangle-free graph", _fgraph, "m", "d")
-
-    ver = group("verify", "emit a certificate")
-    leaf(ver, "free", "monochromatic-clique freeness",
-         _certificate(lambda a, doc, cg: check_colored_free(cg, a.p, a.q)),
-         "p", "q", "input")
-    leaf(ver, "witness", "freeness plus independence cap",
-         _certificate(lambda a, doc, cg: check_rt_witness(cg, a.p, a.q, a.m)),
-         "p", "q", "m", "input")
-    leaf(ver, "formula", "edge-count formula check",
-         _certificate(lambda a, doc, cg: edge_formula_check(cg, a.formula, a.delta, a.tol)),
-         ("formula", {"choices": ["kkl36", "c37"], "required": True}),
-         fraction("delta"), fraction("tol"), "input")
-    leaf(ver, "audit", "six-part partition property audit",
-         _certificate(lambda a, doc, cg: audit_partition(
-             cg, jsonio.partition_from_dict(doc), AuditConfig(gamma=a.gamma))),
-         fraction("gamma"), "input")
-    leaf(ver, "census", "triangle-free coloring census of K5", _census)
-
-    sea = group("search", "run a brute-force search")
-    leaf(sea, "rt", "exact extremal edge count", _rt, "n", "p", "q", "m", "budget")
-    leaf(sea, "coloring", "free coloring of a given graph", _coloring, "p", "q", "budget",
-         ("g6", {"default": None, "help": "graph6 line (default: stdin)"}))
-    leaf(sea, "ramsey", "does K_n admit a free coloring?",
-         lambda a: _write("true\n" if ramsey_verify(a.p, a.q, a.n, a.budget) else "false\n"),
-         "p", "q", "n", "budget")
-
-    qp = group("qp", "certified quadratic maxima")
-    leaf(qp, "f", "ten-variable objective", lambda a: _qp(maximize_f))
-    leaf(qp, "g", "five-variable objective", lambda a: _qp(maximize_g))
-
-    rep = group("report", "density tables")
-    leaf(rep, "table", "reference density constants", _table,
-         ("delta", {"type": _fraction, "action": "append", "default": []}),
-         ("clique", {"type": int, "action": "append", "default": [],
-                     "help": "single-clique sizes to tabulate at each --delta"}))
-    leaf(rep, "gaps", "lower/upper bound gap per delta",
-         lambda a: _write(report.gap_report_csv(a.delta)),
-         ("delta", {"type": _fraction, "action": "append", "required": True}))
+    groups = {
+        group: sub.add_parser(group, help=help).add_subparsers(dest="what", required=True)
+        for group, help in _GROUPS.items()
+    }
+    for (group, name), (help, run, flags) in _LEAVES.items():
+        _fill_leaf(groups[group].add_parser(name, help=help), run, flags)
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """Parse ``argv`` as the tree would, building only the leaf it names.
+
+    Every argument after ``<group> <name>`` reaches that leaf's subparser
+    unchanged, so the leaf parser prints the same help and the same errors.
+    Arguments it does not know are an error of the top-level parser, so that
+    case, and every argv that names no leaf, goes to the tree.
+    """
+    leaf = tuple(argv[:2])
+    if leaf in _LEAVES:
+        args, extra = _leaf_parser(*leaf).parse_known_args(argv[2:])
+        if not extra:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def cli_dispatch(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

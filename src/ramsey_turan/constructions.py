@@ -164,6 +164,8 @@ def f_graph(m: int, d_target: int) -> FGraphResult:
     """
     if m < 2:
         raise ValueError("f-graph order must be >= 2")
+    if d_target < 0:
+        raise ValueError(f"f-graph target degree d must be >= 0, got {d_target}")
     order = _check_order(m)
     padding = 0
     options = _blowup_options(order)

@@ -633,13 +633,27 @@ def _strong_modules(adj: Sequence[int], S: int) -> list[int]:
     return [module_of_v] + others
 
 
-# Largest decomposition node handed to ``_clique_engine`` whole.  After the
-# twin step, check_colored_free on relabelled kkl36 n=60 took 0.45 ms per call
-# with no such cut and 0.33 ms at 6, 8 or 10, which send colour 2's five-vertex
-# pentagon nodes to the engine (best of 7 over 40 copies; 2 vCPUs, CPython
-# 3.11.7).  Without the twin step the cut at 8 gained nothing: the children
-# there have 10 vertices.
-_SMALL_NODE = 8
+# Largest decomposition node handed to ``_clique_engine`` whole.  Sweep, in
+# microseconds per call (minimum of 41 interleaved runs, in-process; 2 vCPUs,
+# CPython 3.11.7); "pent" rows are seeded pentagon blow-ups with n = 10..18
+# (12 free calls at q = 3 or 6, 8 witness calls), "r" a relabelled copy:
+#
+#   | row               |  T=8 | T=12 | T=16 | T=20 | T=24 | T=32 |
+#   | pent free         |  715 |  454 |  277 |  268 |  268 |  267 |
+#   | pent witness      |  400 |  351 |  342 |  322 |  315 |  314 |
+#   | kkl60 free        |  273 |  203 |  198 |  194 |  191 |  434 |
+#   | kkl60 witness     |  591 |  337 |  326 |  322 |  322 |  569 |
+#   | kkl60r free       |  251 |  190 |  186 |  183 |  181 |  191 |
+#   | kkl60r witness    |  617 |  334 |  327 |  321 |  319 |  336 |
+#   | kkl120 witness    |  926 |  821 |  800 |  670 |  658 |  920 |
+#   | kkl240 free       |  386 |  302 |  292 |  291 |  287 |  562 |
+#   | kkl240 witness    | 1507 | 1424 | 1429 | 1375 | 1381 | 1654 |
+#   | c37_160 free      | 1167 | 1142 | 1125 |  574 |  566 |  566 |
+#   | c37_160r free     | 1214 | 1178 | 1192 |  546 |  538 |  534 |
+#
+# At 32 the twin-reduced root of a native kkl colour class (about 30 vertices)
+# goes to the engine whole, which costs more than its decomposition.
+_SMALL_NODE = 24
 
 
 def _omega(adj: Sequence[int], S: int, stop_at: int | None) -> tuple[int, int]:

@@ -555,6 +555,25 @@ class TestAuditOracle:
             gamma = rng.choice(AUDIT_GAMMAS)
             assert_audit_matches_brute_force(cg, VertexPartition(n, parts), [gamma])
 
+    def test_highest_vertex_alone_carries_the_maximum(self):
+        # parts {2i, 2i+1}: the highest vertices form a colour-1 K6 and the
+        # lowest a colour-2 K6, so in every sixth part only the highest
+        # vertex has colour-1 degree into the others (P3 = 1, P4 = 2) and a
+        # score that skips it reads 0
+        n = 12
+        edges = {
+            (u, v): 1 if u % 2 else 2
+            for u, v in combinations(range(n), 2)
+            if u % 2 == v % 2
+        }
+        cg = ColoredGraph(Graph.from_edges(n, edges), EdgeColoring(edges))
+        part = VertexPartition(n, [(2 * i, 2 * i + 1) for i in range(6)])
+        for gamma in AUDIT_GAMMAS:
+            cert = audit_partition(cg, part, AuditConfig(gamma))
+            rows = {row.name: row.measured for row in cert.checks}
+            assert (rows["P3"], rows["P3_exists"], rows["P4"]) == (1, 1, 2)
+        assert_audit_matches_brute_force(cg, part, AUDIT_GAMMAS)
+
     @pytest.mark.parametrize("variant", [RuleVariant.FIGURE, RuleVariant.TEXT])
     def test_kkl60_matches_all_720_assignments(self, variant):
         built = kkl60(variant)

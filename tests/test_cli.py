@@ -543,6 +543,13 @@ class TestCliCommands:
         for path, parser in found.items():
             assert callable(parser.get_default("run")), path
 
+    def test_fgraph_negative_degree_exits_2(self, capsys):
+        code = cli_dispatch(["construct", "fgraph", "--m", "5", "--d", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: f-graph target degree d must be >= 0, got -1\n"
+
     def test_fgraph_stats_on_stderr(self, capsys):
         code = cli_dispatch(["construct", "fgraph", "--m", "10", "--d", "4"])
         captured = capsys.readouterr()

@@ -155,6 +155,16 @@ class TestFGraph:
         with pytest.raises(ValueError):
             f_graph(1, 1)
 
+    @pytest.mark.parametrize("d", [-1, -7])
+    def test_negative_target_degree_rejected(self, d):
+        # the closest degree to a negative target used to be the smallest one
+        with pytest.raises(ValueError) as err:
+            f_graph(5, d)
+        assert str(err.value) == f"f-graph target degree d must be >= 0, got {d}"
+
+    def test_zero_target_degree_takes_the_smallest(self):
+        assert f_graph(5, 0).degree == 2
+
 
 class TestPentagonlike:
     def test_identity_order(self):

@@ -20,6 +20,7 @@ from ramsey_turan import (
     turan_partition,
 )
 from ramsey_turan.graphs import (
+    _SMALL_NODE,
     _clique_engine,
     _omega,
     _transpose,
@@ -584,6 +585,61 @@ class TestOmegaKernel:
                 size, mask = _omega(rows, S, stop_at)
                 assert mask & ~S == 0 and size == mask.bit_count()
                 assert size == omega if omega < stop_at else stop_at <= size <= omega
+
+
+def pentagon_blowup_graphs(rng: random.Random, n: int, deletions: int) -> list[Graph]:
+    """The two colour classes of a pentagon-coloured blow-up of K5 on ``n``
+    vertices (adjacent parts, then parts at cyclic distance two) and their
+    union, after up to ``deletions`` seeded edges leave each class."""
+    part = [rng.randrange(5) for _ in range(n)]
+    classes = ([], [])
+    for u, v in combinations(range(n), 2):
+        gap = (part[u] - part[v]) % 5
+        if gap:
+            classes[gap in (2, 3)].append((u, v))
+    for edges in classes:
+        for e in rng.sample(edges, min(len(edges), rng.randint(0, deletions))):
+            edges.remove(e)
+    one, two = classes
+    return [Graph.from_edges(n, one), Graph.from_edges(n, two), Graph.from_edges(n, one + two)]
+
+
+def threshold_cases(seed: int):
+    """Graphs of 9 to ``_SMALL_NODE`` + 8 vertices, so that the root (after
+    its twins go) and its children fall on both sides of the small-node cut."""
+    rng = random.Random(seed)
+    for n in range(9, _SMALL_NODE + 9):
+        for p in (0.3, 0.5, 0.8):
+            yield random_graph(n, p, rng.randrange(10**6))
+        yield from pentagon_blowup_graphs(rng, n, 3)
+        yield relabelled(planted_twins(rng, n), rng)
+
+
+class TestSmallNodeThreshold:
+    """Every answer around ``_SMALL_NODE`` equals the plain branch and bound
+    on the whole vertex set, and every witness is checked against the graph."""
+
+    def test_matches_engine_on_the_whole_vertex_set(self):
+        for g in threshold_cases(29):
+            full = (1 << g.n) - 1
+            omega = _clique_engine(g.adj, full, 0, None)[0]
+            alpha = _clique_engine(g.complement().adj, full, 0, None)[0]
+            size, clique = clique_number(g)
+            assert size == omega == len(clique)
+            assert_clique(g, clique)
+            size, independent = independence_number(g)
+            assert size == alpha == len(independent)
+            assert_independent(g, independent)
+            for p in range(1, min(g.n, omega + 1) + 1):
+                found = find_clique(g, p)
+                assert (found is None) == (p > omega)
+                if found is not None:
+                    assert len(found) == p
+                    assert_clique(g, found)
+
+    def test_cases_straddle_the_cut(self):
+        sizes = {g.n for g in threshold_cases(29)}
+        assert min(sizes) == 9 and max(sizes) == _SMALL_NODE + 8
 
 
 def heaviest_clique_weight(g: Graph, start: int, weights) -> int:
