@@ -11,20 +11,20 @@ x_i >= 0, x_i + x_{i+1} <= 1 (indices mod 5):
 
 The maximum is decided exactly: the polytope has 12 vertices and 153
 non-empty faces, and on every face whose reduced Hessian is negative
-definite the unique stationary point is solved in rationals; these points
-and the vertices contain a maximum (see ``_face_candidates``).  A float
-search cross-checks the exact value: pattern ascent from the 25 best points
-of the step-1/10 lattice, with no random starts.  Disagreement beyond 1e-6
-raises instead of being papered over.  Both certificates are pure and
-memoized.
+definite the unique stationary point is a candidate; these points and the
+vertices contain a maximum (see ``_face_candidates``), all found by
+fraction-free elimination on integers (Bareiss).  A float search
+cross-checks the exact value: pattern ascent from the 25 best points of the
+step-1/10 lattice, with no random starts.  Disagreement beyond 1e-6 raises
+instead of being papered over.  Both certificates are pure and memoized.
 
 Each five-variable objective is one triple, ``_F`` or ``_G``.  Its exact
 values come from one integer form (``_integer_form``): a point is scaled once
 to integer numerators over its least common denominator, the domain test and
 the quadratic run on those integers, and one ``Fraction`` is built at the
 end; ``eval_f`` does the same for the ten-variable quadratic.  ``_value``
-evaluates the triple on floats for the cross-check.  The candidates'
-feasibility test, the tight masks and the faces read one ``_constraints``.
+evaluates the triple on floats for the cross-check.  The feasibility test,
+the tight masks and the faces read one ``_constraints``.
 """
 
 from __future__ import annotations
@@ -182,9 +182,10 @@ def eval_g(pt: QpPoint) -> Fraction:
 
 
 def optimal_y(x) -> tuple[Fraction, ...]:
-    """The y filling that is optimal for any fixed feasible x."""
-    x = _five(x)
-    return tuple(1 - x[i] - x[(i + 1) % 5] for i in range(5))
+    """The y filling that is optimal for any fixed x; an infeasible x is
+    rejected as ``reduce_f_over_y`` rejects it."""
+    X, _, d = _check_domain(_five(x))
+    return tuple(Fr(d - X[i] - X[(i + 1) % 5], d) for i in range(5))
 
 
 def reduce_f_over_y(x) -> Fraction:
@@ -215,66 +216,34 @@ class QpCertificate:
 # method (a): exact stationary points over the faces of the polytope
 
 
-def _eliminate(rows: list[list[Fraction]], cols: int):
-    """Gauss-Jordan elimination on the first ``cols`` columns, in place.
-
-    Returns the pivot columns; row r holds the pivot of the r-th of them.
-    """
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-    return pivot_cols
-
-
-def _solve_rational(rows: list[list[Fraction]]) -> list[Fraction]:
-    """Solve a square augmented rational system [M | b] with M nonsingular.
-
-    Raises ValueError on a singular M rather than fixing free variables
-    arbitrarily; ``_face_candidates`` passes only reduced Hessians it has
-    proved definite.
-    """
-    rows = [row[:] for row in rows]
-    if _eliminate(rows, len(rows)) != list(range(len(rows))):
-        raise ValueError("singular system")
-    return [row[-1] for row in rows]
+def _definite_solve(rows):
+    """(det A, det A * A^-1 b) for an integer [A | b], A symmetric; None
+    unless A is positive definite.  Fraction-free Gauss-Jordan (Bareiss), no
+    row exchanges: the k-th pivot is the k-th leading principal minor of A,
+    which must be > 0 (Sylvester's criterion), and every division is exact."""
+    prev = 1
+    for k, row in enumerate(rows):
+        pivot = row[k]
+        if pivot <= 0:
+            return None
+        for i, other in enumerate(rows):
+            if i != k:
+                rows[i] = [(pivot * a - other[k] * b) // prev for a, b in zip(other, row)]
+        prev = pivot
+    return prev, [row[-1] for row in rows]
 
 
 @functools.cache
 def _constraints():
     """Rows (a, b) of a.x <= b for the shared five-variable polytope: the
     five pair sums x_i + x_{i+1} <= 1, then the five -x_i <= 0."""
-    rows = []
-    for i in range(5):
-        a = [Fr(0)] * 5
-        a[i] = Fr(1)
-        a[(i + 1) % 5] = Fr(1)
-        rows.append((tuple(a), Fr(1)))
-    for i in range(5):
-        a = [Fr(0)] * 5
-        a[i] = Fr(-1)
-        rows.append((tuple(a), Fr(0)))
-    return tuple(rows)
+    pairs = [(tuple(int(j in (i, (i + 1) % 5)) for j in range(5)), 1) for i in range(5)]
+    return tuple(pairs + [(tuple(-int(j == i) for j in range(5)), 0) for i in range(5)])
 
 
-def _slacks(x) -> list[Fraction]:
-    """b - a.x for each row (a, b) of ``_constraints()``."""
-    return [b - sum(ai * xi for ai, xi in zip(a, x)) for a, b in _constraints()]
-
-
-def _feasible(x) -> bool:
-    return min(_slacks(x)) >= 0
+def _slacks(X, d) -> list[int]:
+    """d (b - a.x) for each row (a, b) of ``_constraints()``, x = X / d."""
+    return [b * d - sum(map(operator.mul, a, X)) for a, b in _constraints()]
 
 
 def _vertices() -> list[tuple[Fraction, ...]]:
@@ -286,23 +255,31 @@ def _vertices() -> list[tuple[Fraction, ...]]:
     return out
 
 
-def _tight_mask(x) -> int:
-    """Bit k set when constraint k of ``_constraints()`` holds with equality."""
-    return sum(1 << k for k, slack in enumerate(_slacks(x)) if slack == 0)
+def _scaled_vertices():
+    """(V, d): the vertices as integer rows V over their common denominator d."""
+    nums, d = _numerators([c for v in _vertices() for c in v])
+    return [nums[i:i + 5] for i in range(0, len(nums), 5)], d
+
+
+def _tight_mask(X, d) -> int:
+    """Bit k set when constraint k of ``_constraints()`` is tight at X / d."""
+    return sum(1 << k for k, slack in enumerate(_slacks(X, d)) if slack == 0)
 
 
 @functools.cache
-def _faces() -> tuple[tuple[int, tuple[int, ...], tuple[tuple[Fraction, ...], ...]], ...]:
+def _faces() -> tuple[tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
     """Every non-empty face as (tight mask, vertex indices, direction basis).
 
     A face is cut out by making a constraint set tight, and its tight mask is
     the AND of the masks of its vertices, so the faces are exactly the ANDs
     of non-empty sets of vertex masks (the whole polytope is the AND of all
     twelve).  The basis rows span the face's affine hull from its first
-    vertex; their count is the dimension.  Sorted by dimension, then mask.
+    vertex; their count is the dimension.  They are the differences of the
+    scaled vertices from it that fraction-free elimination finds independent
+    of the rows kept before.  Sorted by dimension, then mask.
     """
-    verts = _vertices()
-    masks = [_tight_mask(v) for v in verts]
+    verts, d = _scaled_vertices()
+    masks = [_tight_mask(v, d) for v in verts]
     tights: set[int] = set()
     for m in masks:
         tights |= {m & t for t in tights}
@@ -310,25 +287,19 @@ def _faces() -> tuple[tuple[int, tuple[int, ...], tuple[tuple[Fraction, ...], ..
     faces = []
     for t in tights:
         members = tuple(i for i, m in enumerate(masks) if m & t == t)
-        base = verts[members[0]]
-        diffs = [[a - b for a, b in zip(verts[i], base)] for i in members[1:]]
-        rank = len(_eliminate(diffs, 5))
-        faces.append((t, members, tuple(tuple(row) for row in diffs[:rank])))
+        basis, echelon = [], []
+        for i in members[1:]:
+            row = diff = tuple(map(operator.sub, verts[i], verts[members[0]]))
+            for c, e in echelon:
+                if row[c]:
+                    row = [e[c] * a - row[c] * b for a, b in zip(row, e)]
+            c = next((c for c, v in enumerate(row) if v), None)
+            if c is not None:
+                basis.append(diff)
+                echelon.append((c, row))
+        faces.append((t, members, tuple(basis)))
     faces.sort(key=lambda face: (len(face[2]), face[0]))
     return tuple(faces)
-
-
-def _negative_definite(h: list[list[Fraction]]) -> bool:
-    """Exact test by symmetric elimination: -h is positive definite iff every
-    pivot taken down the diagonal, without row exchanges, is positive."""
-    m = [[-v for v in row] for row in h]
-    for i in range(len(m)):
-        if m[i][i] <= 0:
-            return False
-        for r in range(i + 1, len(m)):
-            factor = m[r][i] / m[i][i]
-            m[r] = [a - factor * b for a, b in zip(m[r], m[i])]
-    return True
 
 
 def _face_candidates(quad: list[list[Fraction]], lin: list[Fraction]):
@@ -344,27 +315,31 @@ def _face_candidates(quad: list[list[Fraction]], lin: list[Fraction]):
     negative definite (at worst a vertex), where it is the unique stationary
     point.  So faces whose Hessian is not negative definite are skipped,
     every other face yields its stationary point when that is feasible, and
-    the vertices are always candidates.
+    the vertices are always candidates.  Any other basis M = T N of the
+    face gives M Q M' = T (N Q N') T', congruent to N Q N', so by
+    Sylvester's law of inertia the skip does not depend on the basis.
+
+    On integers (s the common denominator of Q and c, d that of the
+    vertices, x = (v0 + sum z_r u_r) / d), the gradient along u_r vanishes
+    iff -2 sum_k u_r.(sQ)u_k z_k = u_r.(d s c + 2 sQ v0); ``_definite_solve``
+    tests -2 N(sQ)N' and solves this, trivially at a vertex.
     """
-    verts = _vertices()
+    verts, d = _scaled_vertices()
+    coeffs, s = _numerators([*lin, *(v for row in quad for v in row)])
+    c, sq = coeffs[:5], [coeffs[i:i + 5] for i in range(5, 30, 5)]
     out = []
     for _, members, basis in _faces():
-        x0 = verts[members[0]]
-        if not basis:
-            out.append(x0)
+        v0 = verts[members[0]]
+        grad = [d * ci + 2 * sum(map(operator.mul, row, v0)) for ci, row in zip(c, sq)]
+        qn = [[sum(map(operator.mul, row, u)) for row in sq] for u in basis]
+        solved = _definite_solve([[-2 * sum(map(operator.mul, u, w)) for w in qn]
+                                  + [sum(map(operator.mul, u, grad))] for u in basis])
+        if solved is None:
             continue
-        qn = [[sum(quad[i][j] * b[j] for j in range(5)) for i in range(5)] for b in basis]
-        h = [[sum(u[i] * w[i] for i in range(5)) for w in qn] for u in basis]
-        if not _negative_definite(h):
-            continue
-        # gradient along basis row u at x0 is u.(lin + 2 Q x0)
-        grad = [lin[i] + 2 * sum(quad[i][j] * x0[j] for j in range(5)) for i in range(5)]
-        rows = [[2 * v for v in h[r]] + [-sum(u * g for u, g in zip(basis[r], grad))]
-                for r in range(len(basis))]
-        z = _solve_rational(rows)
-        x = tuple(x0[i] + sum(z[r] * basis[r][i] for r in range(len(basis))) for i in range(5))
-        if _feasible(x):
-            out.append(x)
+        det, z = solved
+        X = [det * v0[i] + sum(zr * u[i] for zr, u in zip(z, basis)) for i in range(5)]
+        if min(_slacks(X, d * det)) >= 0:
+            out.append(tuple(Fr(v, d * det) for v in X))
     return out
 
 
@@ -374,7 +349,8 @@ def _pick_argmax(cands):
     best_value = max(v for v, _ in cands)
     tied = [x for v, x in cands if v == best_value]
     # the pair-sum facets x_i + x_{i+1} <= 1 are the low five constraint bits
-    tied.sort(key=lambda x: ((_tight_mask(x) & 0b11111).bit_count(), x), reverse=True)
+    tied.sort(key=lambda x: ((_tight_mask(*_numerators(x)) & 0b11111).bit_count(), x),
+              reverse=True)
     return best_value, tied[0]
 
 

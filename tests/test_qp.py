@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction as Fr
@@ -144,6 +145,15 @@ class TestReduction:
     def test_infeasible_x_rejected(self):
         with pytest.raises(InfeasiblePointError):
             reduce_f_over_y((1, 1, 0, 0, 0))
+
+    @pytest.mark.parametrize("x", [(1, 1, 0, 0, 0), (0, -1, 0, 0, 0), (0, 0, 0, H, Fr(2, 3)),
+                                   (Fr(-1, 3), 1, 1, 0, 0)])
+    def test_optimal_y_rejects_infeasible_x(self, x):
+        with pytest.raises(InfeasiblePointError) as err:
+            reduce_f_over_y(x)
+        with pytest.raises(InfeasiblePointError) as y_err:
+            optimal_y(x)
+        assert str(y_err.value) == str(err.value)
 
     @pytest.mark.parametrize("length", [4, 6])
     def test_wrong_length_x_rejected(self, length):
@@ -373,9 +383,121 @@ class TestMaximize:
             assert gv <= gmax + 1e-9
 
 
+# Reference: the Fraction face enumeration the integer one replaced.
+def ref_eliminate(rows, cols):
+    """Gauss-Jordan elimination on the first ``cols`` columns, in place.
+
+    Returns the pivot columns; row r holds the pivot of the r-th of them.
+    """
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / Fr(rows[r][c])
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+    return pivot_cols
+
+
 def rank(rows) -> int:
     rows = [list(r) for r in rows]
-    return len(qp._eliminate(rows, 5))
+    return len(ref_eliminate(rows, 5))
+
+
+def ref_solve_rational(rows):
+    """Solve a square augmented rational system [M | b]; ValueError when M
+    is singular."""
+    rows = [row[:] for row in rows]
+    if ref_eliminate(rows, len(rows)) != list(range(len(rows))):
+        raise ValueError("singular system")
+    return [row[-1] for row in rows]
+
+
+def ref_slacks(x):
+    return [b - sum(ai * xi for ai, xi in zip(a, x)) for a, b in qp._constraints()]
+
+
+def ref_feasible(x):
+    return min(ref_slacks(x)) >= 0
+
+
+def ref_tight_mask(x):
+    return sum(1 << k for k, slack in enumerate(ref_slacks(x)) if slack == 0)
+
+
+@functools.cache
+def ref_faces():
+    """(tight mask, vertex indices, Fraction RREF basis) per face."""
+    verts = qp._vertices()
+    masks = [ref_tight_mask(v) for v in verts]
+    tights = set()
+    for m in masks:
+        tights |= {m & t for t in tights}
+        tights.add(m)
+    faces = []
+    for t in tights:
+        members = tuple(i for i, m in enumerate(masks) if m & t == t)
+        base = verts[members[0]]
+        diffs = [[a - b for a, b in zip(verts[i], base)] for i in members[1:]]
+        r = len(ref_eliminate(diffs, 5))
+        faces.append((t, members, tuple(tuple(row) for row in diffs[:r])))
+    faces.sort(key=lambda face: (len(face[2]), face[0]))
+    return tuple(faces)
+
+
+def ref_negative_definite(h):
+    """-h is positive definite iff every pivot taken down the diagonal,
+    without row exchanges, is positive."""
+    m = [[-v for v in row] for row in h]
+    for i in range(len(m)):
+        if m[i][i] <= 0:
+            return False
+        for r in range(i + 1, len(m)):
+            factor = m[r][i] / m[i][i]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[i])]
+    return True
+
+
+def ref_face_candidates(quad, lin):
+    verts = qp._vertices()
+    out = []
+    for _, members, basis in ref_faces():
+        x0 = verts[members[0]]
+        if not basis:
+            out.append(x0)
+            continue
+        qn = [[sum(quad[i][j] * b[j] for j in range(5)) for i in range(5)] for b in basis]
+        h = [[sum(u[i] * w[i] for i in range(5)) for w in qn] for u in basis]
+        if not ref_negative_definite(h):
+            continue
+        grad = [lin[i] + 2 * sum(quad[i][j] * x0[j] for j in range(5)) for i in range(5)]
+        rows = [[2 * v for v in h[r]] + [-sum(u * g for u, g in zip(basis[r], grad))]
+                for r in range(len(basis))]
+        z = ref_solve_rational(rows)
+        x = tuple(x0[i] + sum(z[r] * basis[r][i] for r in range(len(basis))) for i in range(5))
+        if ref_feasible(x):
+            out.append(x)
+    return out
+
+
+def ref_exact_max(quad, lin, const):
+    """(maximum, argmax, candidate count), each candidate scored by the
+    25-term Fraction form and ties broken as ``qp._pick_argmax`` breaks them."""
+    cands = [(const + sum(lin[i] * x[i] for i in range(5))
+              + sum(x[i] * quad[i][j] * x[j] for i in range(5) for j in range(5)), x)
+             for x in ref_face_candidates(quad, lin)]
+    best = max(v for v, _ in cands)
+    tied = sorted((x for v, x in cands if v == best),
+                  key=lambda x: ((ref_tight_mask(x) & 0b11111).bit_count(), x), reverse=True)
+    return best, tied[0], len(cands)
 
 
 class TestFaces:
@@ -386,10 +508,10 @@ class TestFaces:
         found = set()
         for subset in itertools.combinations(cons, 5):
             try:
-                x = qp._solve_rational([list(a) + [b] for a, b in subset])
+                x = ref_solve_rational([list(a) + [b] for a, b in subset])
             except ValueError:
                 continue
-            if qp._feasible(x):
+            if min(qp._slacks(*qp._numerators(x))) >= 0:
                 found.add(tuple(x))
         assert found == set(qp._vertices())
 
@@ -401,7 +523,7 @@ class TestFaces:
         assert fvec == (12, 40, 55, 35, 10, 1)
         assert sum((-1) ** d * fvec[d] for d in range(5)) == 2
         verts = qp._vertices()
-        masks = [qp._tight_mask(v) for v in verts]
+        masks = [qp._tight_mask(*qp._numerators(v)) for v in verts]
         cons = qp._constraints()
         for tight, members, basis in faces:
             assert tight == functools.reduce(operator.and_, (masks[i] for i in members))
@@ -432,7 +554,8 @@ class TestFaces:
         assert len(facet[2]) == 4
         h = [[sum(u[i] * quad[i][j] * w[j] for i in range(5) for j in range(5))
               for w in facet[2]] for u in facet[2]]
-        assert not qp._negative_definite(h)
+        assert not ref_negative_definite(h)
+        assert qp._definite_solve([[-int(v) for v in row] + [0] for row in h]) is None
         value, x, _ = qp._exact_max(quad, lin, Fr(-1))
         assert value == 0
         assert x[0] + x[1] == 1
@@ -446,6 +569,149 @@ class TestFaces:
         lin = [2 * v for v in p]
         value, x, _ = qp._exact_max(quad, lin, -sum(v * v for v in p))
         assert (value, x) == (0, p)
+
+
+COEF = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def quadratics(draw):
+    """(Q, lin) with Q symmetric: zero, negative definite (-(A'A + D)
+    with D a positive diagonal), singular negative semidefinite (-A'A with
+    fewer than five rows in A) or indefinite (diagonal entries of both signs)."""
+    kind = draw(st.sampled_from(["zero", "definite", "singular", "indefinite"]))
+    lin = [draw(COEF) for _ in range(5)]
+    q = [[Fr(0)] * 5 for _ in range(5)]
+    if kind == "indefinite":
+        for i, j in itertools.combinations_with_replacement(range(5), 2):
+            q[i][j] = q[j][i] = draw(COEF)
+        q[0][0], q[1][1] = draw(COEF.filter(lambda v: v > 0)), draw(COEF.filter(lambda v: v < 0))
+    elif kind != "zero":
+        rows = draw(st.integers(1, 4 if kind == "singular" else 5))
+        a = [[draw(COEF) for _ in range(5)] for _ in range(rows)]
+        diag = [draw(COEF.filter(lambda v: v > 0)) if kind == "definite" else 0 for _ in range(5)]
+        q = [[-sum(r[i] * r[j] for r in a) - (diag[i] if i == j else 0) for j in range(5)]
+             for i in range(5)]
+    return q, lin
+
+
+class TestIntegerFacesMatchReference:
+    def test_faces(self):
+        faces, ref = qp._faces(), ref_faces()
+        assert len(faces) == len(ref) == 153
+        for (tight, members, basis), (ref_tight, ref_members, ref_basis) in zip(faces, ref):
+            assert (tight, members) == (ref_tight, ref_members)
+            assert all(isinstance(v, int) for u in basis for v in u)
+            # the same dimension and the same span
+            assert len(basis) == len(ref_basis) == rank(basis) == rank(basis + ref_basis)
+
+    @pytest.mark.parametrize("objective, count", [(qp._F, 27), (qp._G, 12)], ids=["f", "g"])
+    def test_candidates_and_maximum(self, objective, count):
+        const, lin, sign = objective
+        quad = qp._quad_matrix(sign)
+        cands = qp._face_candidates(quad, lin)
+        assert cands == ref_face_candidates(quad, lin)
+        assert len(cands) == count
+        assert qp._exact_max(quad, lin, const) == ref_exact_max(quad, lin, const)
+
+    @given(quadratics(), COEF)
+    @settings(max_examples=30, deadline=None)
+    def test_general_quadratics(self, problem, const):
+        quad, lin = problem
+        assert qp._face_candidates(quad, lin) == ref_face_candidates(quad, lin)
+        assert qp._exact_max(quad, lin, const) == ref_exact_max(quad, lin, const)
+
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-4, 4), min_size=n * n, max_size=n * n),
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n), st.booleans())))
+    @settings(max_examples=100, deadline=None)
+    def test_definite_solve(self, drawn):
+        entries, b, gram = drawn
+        n = len(b)
+        m = [entries[n * i:n * i + n] for i in range(n)]
+        # M'M + I is positive definite; M + M' usually is not
+        a = [[sum(r[i] * r[j] for r in m) + (i == j) if gram else m[i][j] + m[j][i]
+              for j in range(n)] for i in range(n)]
+        system = [row + [v] for row, v in zip(a, b)]
+        solved = qp._definite_solve([row[:] for row in system])
+        assert (solved is not None) == ref_negative_definite([[-v for v in row] for row in a])
+        if solved is not None:
+            det, z = solved
+            assert det > 0
+            assert [Fr(v, det) for v in z] == ref_solve_rational(system)
+
+
+def linear(const, coeffs):
+    """The polynomial const + coeffs.x as {exponent tuple: coefficient}."""
+    poly = {(0,) * 5: Fr(const)}
+    for i, c in enumerate(coeffs):
+        poly[tuple(int(j == i) for j in range(5))] = Fr(c)
+    return poly
+
+
+def poly_add(*polys):
+    """The sum, zero coefficients dropped, so equal polynomials are equal dicts."""
+    out = {}
+    for poly in polys:
+        for mono, c in poly.items():
+            out[mono] = out.get(mono, 0) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def poly_mul(p, q):
+    return poly_add(*({tuple(map(operator.add, a, b)): c * d} for a, c in p.items()
+                      for b, d in q.items()))
+
+
+def poly_at(poly, x):
+    return sum(c * math.prod(v ** e for v, e in zip(x, mono)) for mono, c in poly.items())
+
+
+class TestGIdentity:
+    """2 - g is a nonnegative combination of products of the polytope's
+    slacks s_i = 1 - x_i - x_{i+1} and coordinates x_i, so g <= 2 on it;
+    checked by expanding polynomials, with nothing of the face enumeration."""
+
+    X = [(0, tuple(int(j == i) for j in range(5))) for i in range(5)]
+    S = [(1, tuple(-int(j in (i, (i + 1) % 5)) for j in range(5))) for i in range(5)]
+    # (coefficient, factors) per term, each factor (constant, coefficients)
+    TERMS = [
+        (H, [S[1]]), (H, [S[4]]), (H, [S[0], S[1]]), (H, [X[1], S[0]]), (H, [X[2], S[1]]),
+        (H, [S[2], S[2]]), (1, [X[0], S[2]]), (H, [X[3], S[2]]), (1, [X[1], S[3]]),
+        (H, [X[2], S[3]]), (H, [X[2], S[4]]),
+    ]
+
+    def two_minus_g(self):
+        # g = (x_2 + x_3 + x_4) / 2 + sum of x_i x_{i+2}
+        pairs = (poly_mul(linear(*self.X[i]), linear(*self.X[(i + 2) % 5])) for i in range(5))
+        g = poly_add(linear(0, (0, 0, H, H, H)), *pairs)
+        return poly_add(linear(2, (0,) * 5), {mono: -c for mono, c in g.items()})
+
+    def test_identity(self):
+        expanded = poly_add(*(functools.reduce(poly_mul, [linear(*f) for f in factors],
+                                               linear(c, (0,) * 5))
+                              for c, factors in self.TERMS))
+        assert len(self.TERMS) == 11
+        assert expanded == self.two_minus_g()
+
+    def test_terms_are_products_of_slacks_and_coordinates(self):
+        # the polytope x_i >= 0, 1 - x_i - x_{i+1} >= 0, written out again
+        slacks = {(0, tuple(int(j == i) for j in range(5))) for i in range(5)}
+        slacks |= {(1, tuple(-1 if j in (i, (i + 1) % 5) else 0 for j in range(5)))
+                   for i in range(5)}
+        for c, factors in self.TERMS:
+            assert c > 0
+            assert factors and all(f in slacks for f in factors)
+
+    def test_vanishes_at_all_half(self):
+        assert poly_at(self.two_minus_g(), (H,) * 5) == 0
+        assert eval_g(QpPoint((H,) * 5)) == 2
+
+    def test_polynomial_is_eval_g(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            x = random_feasible_x(rng)
+            assert poly_at(self.two_minus_g(), x) == 2 - eval_g(QpPoint(x))
 
 
 class TestLattice:
