@@ -321,7 +321,9 @@ def audit_partition(
     dcr = min_crossing_degree(g, part)
 
     # row -> (c, k): the row passes iff measured <= c * gamma**(1/k) * n,
-    # that is iff measured <= 0 or measured**k <= (c * n)**k * gamma
+    # that is iff measured <= 0 or measured**k <= (c * n)**k * gamma; with
+    # gamma = a/b and measured = p/q, iff p <= 0 or p**k * b <= q**k * top,
+    # top = (c * n)**k * a
     exps = {
         "P1": (2, 4),
         "P2": (1, 4),
@@ -336,17 +338,20 @@ def audit_partition(
         "P8_deg2_near": (1, 119),
     }
     gamma = Fraction(cfg.gamma)
-    limit = {name: (c * n) ** k * gamma for name, (c, k) in exps.items()}
-    # displayed bounds only; every verdict compares exactly against limit
+    a, b = gamma.as_integer_ratio()
+    top = {name: (c * n) ** k * a for name, (c, k) in exps.items()}
+    # displayed bounds only; every verdict compares exactly against top
     bound_for = {
         name: c * (float(gamma) ** (1 / k) * n) for name, (c, k) in exps.items()
     }
 
     def decide(rows: dict) -> dict:
-        return {
-            name: value <= 0 or Fraction(value) ** exps[name][1] <= limit[name]
-            for name, value in rows.items()
-        }
+        ok = {}
+        for name, value in rows.items():
+            p, q = value.as_integer_ratio()
+            k = exps[name][1]
+            ok[name] = p <= 0 or p ** k * b <= q ** k * top[name]
+        return ok
 
     target = Fraction(n, 6)
     fixed = {

@@ -101,11 +101,3 @@ def decode(line: str) -> Graph:
     if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits", len(s) - 1)
     return Graph._unchecked(n, _triangle_rows(n, bits))
-
-
-def write_lines(graphs) -> str:
-    return "".join(encode(g) + "\n" for g in graphs)
-
-
-def read_lines(text: str) -> list[Graph]:
-    return [decode(line) for line in text.splitlines() if line.strip()]

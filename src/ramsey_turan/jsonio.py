@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, compress
 
-from .certify import Certificate, CheckRow
+from .certify import Certificate
 from .graphs import MAX_VERTICES, ColoredGraph, VertexPartition
 
 
@@ -144,18 +144,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "witness": list(cert.witness) if cert.witness is not None else None,
         "params": _jsonable(cert.params),
     }
-
-
-def certificate_from_dict(doc: dict) -> Certificate:
-    _check_object(doc, "certificate")
-    with _fields("certificate"):
-        rows = doc["checks"]
-        if not isinstance(rows, list) or not all(isinstance(c, dict) for c in rows):
-            raise ValueError("'checks' must be a list of JSON objects")
-        checks = [CheckRow(c["name"], c["measured"], c["bound"], c["verdict"]) for c in rows]
-        status = doc["status"]
-    witness = tuple(doc["witness"]) if doc.get("witness") is not None else None
-    return Certificate(status, checks, witness, doc.get("params", {}))
 
 
 def dumps(doc: dict) -> str:

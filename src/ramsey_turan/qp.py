@@ -18,13 +18,13 @@ cross-checks the exact value: pattern ascent from the 25 best points of the
 step-1/10 lattice, with no random starts.  Disagreement beyond 1e-6 raises
 instead of being papered over.  Both certificates are pure and memoized.
 
-Each five-variable objective is one triple, ``_F`` or ``_G``.  Its exact
-values come from one integer form (``_integer_form``): a point is scaled once
-to integer numerators over its least common denominator, the domain test and
-the quadratic run on those integers, and one ``Fraction`` is built at the
-end; ``eval_f`` does the same for the ten-variable quadratic.  ``_value``
-evaluates the triple on floats for the cross-check.  The feasibility test,
-the tight masks and the faces read one ``_constraints``.
+Exact values take one integer pass: the coordinates become Fractions once
+(``_fractions``), the point is scaled to integer numerators over its least
+common denominator, the domain test and the objective (the homogeneous
+integer form of a triple ``_F``/``_G``, or ``eval_f`` written out) run on
+those integers, and one ``Fraction`` is built at the end.  ``_value``
+evaluates a triple on floats for the cross-check.  The feasibility test, the
+tight masks and the faces read one ``_constraints``.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ Fr = Fraction
 # unordered index pairs at cyclic distance two; both quadratics use them
 _PAIRS = tuple(sorted((i, (i + 2) % 5) if i < (i + 2) % 5 else ((i + 2) % 5, i)
                       for i in range(5)))
-# y_i multiplies x_{i-2}: the pairing below lists (x index, y index)
-_XY_PAIRS = tuple((i, (i + 2) % 5) for i in range(5))
 
 
 class InfeasiblePointError(ValueError):
@@ -61,17 +59,23 @@ class QpPoint:
     y: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(Fr(v) for v in self.x))
+        object.__setattr__(self, "x", _fractions(self.x))
         if self.y is not None:
-            object.__setattr__(self, "y", tuple(Fr(v) for v in self.y))
+            object.__setattr__(self, "y", _fractions(self.y))
         if len(self.x) != 5 or (self.y is not None and len(self.y) != 5):
             raise ValueError("points have 5 x (and optionally 5 y) coordinates")
 
 
+def _fractions(values) -> tuple[Fraction, ...]:
+    """Each value kept if it is exactly a Fraction, else made one by Fraction(v)."""
+    return tuple([v if type(v) is Fr else Fr(v) for v in values])
+
+
 def _numerators(coords):
     """(X, d) with coords[i] = X[i] / d and d the least common denominator."""
-    d = math.lcm(*(v.denominator for v in coords))
-    return [v.numerator * (d // v.denominator) for v in coords], d
+    ratios = [v.as_integer_ratio() for v in coords]
+    d = math.lcm(*[q for _, q in ratios])
+    return [p * (d // q) for p, q in ratios], d
 
 
 def _check_domain(x, y=None):
@@ -81,26 +85,24 @@ def _check_domain(x, y=None):
     raise on the first violated constraint: x_i >= 0 then y_i >= 0 for each
     i, then each x_i + x_{i+1} (+ y_i) <= 1."""
     nums, d = _numerators(x if y is None else (*x, *y))
-    X, Y = nums[:5], nums[5:] or None
-    sums = map(operator.add, X, X[1:] + X[:1])
-    if min(nums) >= 0 and max(sums if Y is None else map(operator.add, sums, Y)) <= d:
-        return X, Y, d
-    for i in range(5):
-        if x[i] < 0:
-            raise InfeasiblePointError(f"x{i + 1} = {x[i]} violates x{i + 1} >= 0")
-        if y is not None and y[i] < 0:
-            raise InfeasiblePointError(f"y{i + 1} = {y[i]} violates y{i + 1} >= 0")
-    for i in range(5):
-        j = (i + 1) % 5
-        s = x[i] + x[j] if y is None else x[i] + x[j] + y[i]
+    x1, x2, x3, x4, x5, *Y = nums
+    y1, y2, y3, y4, y5 = Y or (0,) * 5
+    if min(nums) >= 0 and max(x1 + x2 + y1, x2 + x3 + y2, x3 + x4 + y3, x4 + x5 + y4,
+                              x5 + x1 + y5) <= d:
+        return nums[:5], Y or None, d
+    signs = [(f"{c}{i + 1}", v[i]) for i in range(5) for c, v in zip("xy", (x, y)) if v]
+    for name, value in signs:
+        if value < 0:
+            raise InfeasiblePointError(f"{name} = {value} violates {name} >= 0")
+    for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)):
+        s, term = (x[i] + x[j], "") if y is None else (x[i] + x[j] + y[i], f" + y{i + 1}")
         if s > 1:
-            term = "" if y is None else f" + y{i + 1}"
             raise InfeasiblePointError(f"x{i + 1} + x{j + 1}{term} = {s} violates <= 1")
 
 
 def _five(x) -> tuple[Fraction, ...]:
     """x as five Fractions; any other length is rejected."""
-    x = tuple(Fr(v) for v in x)
+    x = _fractions(x)
     if len(x) != 5:
         raise ValueError(f"points have 5 x coordinates, not {len(x)}")
     return x
@@ -131,26 +133,23 @@ def _quad_matrix(sign: int) -> list[list[Fraction]]:
 
 
 def _integer_form(quad, lin, const):
-    """const + lin.x + x'Qx on integers over one denominator L.
-
-    Returns (L, C, linear terms (L_i, i), quadratic terms (q, a, b) with
-    a <= b), zero terms dropped; at x = X / d the value is
-    (C d^2 + d sum L_i X_i + sum q X_a X_b) / (L d^2).
-    """
-    quad = [(quad[a][b] + quad[b][a] if a < b else quad[a][a], a, b)
-            for a in range(5) for b in range(a, 5)]
-    scale = math.lcm(const.denominator, *(v.denominator for v in lin),
-                     *(q.denominator for q, _, _ in quad))
-    return (scale, int(const * scale),
-            tuple((int(v * scale), i) for i, v in enumerate(lin) if v),
-            tuple((int(q * scale), a, b) for q, a, b in quad if q))
+    """const + lin.x + x'Qx homogenized in (x, 1), the 1 at index 5: (L, terms)
+    with integer terms (q, a, b), a <= b, zero terms dropped, such that at
+    x = X / d the value is sum q X_a X_b / (L d^2), X extended by X_5 = d."""
+    terms = [(const, 5, 5), *((v, i, 5) for i, v in enumerate(lin)),
+             *((quad[a][b] + quad[b][a] if a < b else quad[a][a], a, b)
+               for a in range(5) for b in range(a, 5))]
+    scale = math.lcm(*(q.denominator for q, _, _ in terms))
+    return scale, tuple((int(q * scale), a, b) for q, a, b in terms if q)
 
 
 def _form_value(form, X, d) -> Fraction:
     """The exact value of an ``_integer_form`` at the point X / d."""
-    scale, const, lin, quad = form
-    num = (const * d + sum(v * X[i] for v, i in lin)) * d
-    return Fr(num + sum(q * X[a] * X[b] for q, a, b in quad), scale * d * d)
+    scale, terms = form
+    X, num = [*X, d], 0
+    for q, a, b in terms:
+        num += q * X[a] * X[b]
+    return Fr(num, scale * d * d)
 
 
 _F_FORM, _G_FORM = (_integer_form(_quad_matrix(sign), lin, const)
@@ -167,10 +166,11 @@ def eval_f(pt: QpPoint) -> Fraction:
     """Exact value of the ten-variable quadratic on its domain."""
     if pt.y is None:
         raise ValueError("this objective needs y coordinates")
-    # 10 d^2 f = d (3 sum X + 2 sum Y) + 10 (sum X_i Y_{i+2} + sum X_a X_b)
-    X, Y, d = _check_domain(pt.x, pt.y)
-    cross = sum(X[i] * Y[j] for i, j in _XY_PAIRS) + sum(X[a] * X[b] for a, b in _PAIRS)
-    return Fr(d * (3 * sum(X) + 2 * sum(Y)) + 10 * cross, 10 * d * d)
+    # 10 d^2 f = d (3 sum X + 2 sum Y) + 10 sum X_i (X_{i+2} + Y_{i+2})
+    (x1, x2, x3, x4, x5), (y1, y2, y3, y4, y5), d = _check_domain(pt.x, pt.y)
+    cross = x1 * (x3 + y3) + x2 * (x4 + y4) + x3 * (x5 + y5) + x4 * (x1 + y1) + x5 * (x2 + y2)
+    lin = 3 * (x1 + x2 + x3 + x4 + x5) + 2 * (y1 + y2 + y3 + y4 + y5)
+    return Fr(d * lin + 10 * cross, 10 * d * d)
 
 
 def eval_g(pt: QpPoint) -> Fraction:
@@ -185,7 +185,7 @@ def optimal_y(x) -> tuple[Fraction, ...]:
     """The y filling that is optimal for any fixed x; an infeasible x is
     rejected as ``reduce_f_over_y`` rejects it."""
     X, _, d = _check_domain(_five(x))
-    return tuple(Fr(d - X[i] - X[(i + 1) % 5], d) for i in range(5))
+    return tuple([Fr(d - a - b, d) for a, b in zip(X, X[1:] + X[:1])])
 
 
 def reduce_f_over_y(x) -> Fraction:

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 import pytest
 
@@ -371,6 +371,21 @@ class TestAuditPartition:
             cert = audit_partition(cg, part, AuditConfig(gamma=g))
             p1 = next(row for row in cert.checks if row.name == "P1")
             assert p1.measured == 5
+            assert p1.passed is want
+
+    def test_fractional_measurement_decided_exactly_at_the_boundary(self):
+        # n=13 puts the target part size at 13/6: parts [8,1,1,1,1,1] give
+        # P1 = 35/6, exactly the bound 2 * gamma**(1/4) * 13 at
+        # gamma = (35/156)**4, and [9,1,1,1,1,0] give the next value, 41/6
+        cg = ColoredGraph(Graph.empty(13), EdgeColoring({}))
+        gamma = Fraction(35, 156) ** 4
+        for sizes, measured, want in (((8, 1, 1, 1, 1, 1), Fraction(35, 6), True),
+                                      ((9, 1, 1, 1, 1, 0), Fraction(41, 6), False)):
+            ends = list(accumulate(sizes))
+            part = VertexPartition(13, [range(e - s, e) for s, e in zip(sizes, ends)])
+            cert = audit_partition(cg, part, AuditConfig(gamma=gamma))
+            p1 = next(row for row in cert.checks if row.name == "P1")
+            assert p1.measured == measured
             assert p1.passed is want
 
     def test_wrong_part_count(self):

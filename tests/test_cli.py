@@ -21,7 +21,6 @@ from ramsey_turan.cli import _build_parser, cli_dispatch
 from ramsey_turan.jsonio import (
     _int_lists,
     _is_int,
-    certificate_from_dict,
     certificate_to_dict,
     colored_graph_from_dict,
     colored_graph_json,
@@ -97,10 +96,9 @@ class TestJsonRoundTrip:
     def test_certificate(self):
         cert = check_rt_witness(pentagonlike(range(5)), 3, 3, 1)
         doc = json.loads(dumps(certificate_to_dict(cert)))
-        back = certificate_from_dict(doc)
-        assert back.status == cert.status
-        assert [c.name for c in back.checks] == [c.name for c in cert.checks]
-        assert back.witness == cert.witness
+        assert doc["status"] == cert.status
+        assert [c["name"] for c in doc["checks"]] == [c.name for c in cert.checks]
+        assert doc["witness"] == (None if cert.witness is None else list(cert.witness))
 
     @pytest.mark.parametrize("doc", [[], "x", 5, ["parts"]])
     def test_partition_of_non_object_rejected(self, doc):
@@ -111,19 +109,6 @@ class TestJsonRoundTrip:
     def test_partition_without_vertex_count_rejected(self):
         with pytest.raises(ValueError, match="partition document missing field: 'n'"):
             partition_from_dict({"parts": []})
-
-    def test_certificate_of_non_object_rejected(self):
-        with pytest.raises(ValueError, match="certificate document must be a JSON object"):
-            certificate_from_dict([])
-
-    def test_certificate_check_without_name_rejected(self):
-        with pytest.raises(ValueError, match="certificate document missing field: 'name'"):
-            certificate_from_dict({"checks": [{}]})
-
-    @pytest.mark.parametrize("checks", [5, "name", [5], [{"name": "x"}, []]])
-    def test_certificate_checks_not_objects_rejected(self, checks):
-        with pytest.raises(ValueError, match="'checks' must be a list of JSON objects"):
-            certificate_from_dict({"checks": checks, "status": "pass"})
 
 
 class Colour(IntEnum):

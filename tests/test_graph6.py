@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from ramsey_turan import Graph, Graph6Error, turan
-from ramsey_turan.graph6 import decode, encode, read_lines, write_lines
+from ramsey_turan.graph6 import decode, encode
 from ramsey_turan.search import graph_from_canonical
 
 from .conftest import petersen
@@ -172,11 +172,10 @@ def test_decoded_graphs_equal_validated_graphs():
     for _ in range(300):
         n = rng.randint(0, 70)
         g = random_graph(n, rng.random(), rng)
-        line = encode(g)
-        for decoded in (decode(line), read_lines(line + "\n")[0]):
-            checked = Graph(decoded.n, decoded.adj)
-            assert decoded == checked == g and hash(decoded) == hash(checked) == hash(g)
-            assert type(decoded.adj) is tuple
+        decoded = decode(encode(g))
+        checked = Graph(decoded.n, decoded.adj)
+        assert decoded == checked == g and hash(decoded) == hash(checked) == hash(g)
+        assert type(decoded.adj) is tuple
         if n <= 12:
             nbits = n * (n - 1) // 2
             mask = rng.getrandbits(nbits) if nbits else 0
@@ -192,11 +191,6 @@ def test_graph_from_canonical_rejects_bad_order():
     assert str(err.value) == "vertex count -1 outside [0, 4096]"
     with pytest.raises(ValueError, match="outside"):
         graph_from_canonical(-1, 5)
-
-
-def test_multi_line_io():
-    graphs = [Graph.complete(3), Graph.cycle(5), petersen()]
-    assert read_lines(write_lines(graphs)) == graphs
 
 
 def test_against_networkx_reference():

@@ -202,6 +202,12 @@ def ref_reduce_f_over_y(x):
     return 1 + Fr(9, 10) * sum(x) - sum(x[i] * x[(i + 2) % 5] for i in range(5))
 
 
+def ref_optimal_y(x):
+    x = tuple(map(Fr, x))
+    ref_check_domain(x)
+    return tuple(1 - x[i] - x[(i + 1) % 5] for i in range(5))
+
+
 def outcome(fn, *args):
     """The value, or the exception's type and text."""
     try:
@@ -260,9 +266,14 @@ def first_violation(draw, with_y, k):
     return tuple(x), None if y is None else tuple(y)
 
 
+class FractionSubclass(Fr):
+    pass
+
+
 def as_inputs(draw, x):
-    """Each coordinate as a Fraction, int, str or float with that value."""
-    kinds = [lambda v: v, str, lambda v: int(v) if v.denominator == 1 else v]
+    """Each coordinate as a Fraction, a Fraction subclass, int, str or float
+    with that value."""
+    kinds = [lambda v: v, FractionSubclass, str, lambda v: int(v) if v.denominator == 1 else v]
     out = []
     for v in x:
         kind = draw(st.sampled_from(kinds + ([float] if float(v) == v else [])))
@@ -288,6 +299,29 @@ class TestExactEvaluatorsMatchReference:
     def test_reduce_f_over_y_any_input_type(self, point, data):
         raw = as_inputs(data.draw, point[0])
         assert outcome(reduce_f_over_y, raw) == outcome(ref_reduce_f_over_y, raw)
+
+    @given(points(with_y=False), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_optimal_y_any_input_type(self, point, data):
+        raw = as_inputs(data.draw, point[0])
+        filled = outcome(optimal_y, raw)
+        assert filled == outcome(ref_optimal_y, raw)
+        reduced = outcome(reduce_f_over_y, raw)
+        if isinstance(reduced, tuple):
+            assert filled == reduced
+        else:
+            assert all(type(v) is Fr for v in filled)
+
+    @given(points(with_y=True), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_points_of_any_input_type(self, point, data):
+        x, y = point
+        raw_x, raw_y = as_inputs(data.draw, x), as_inputs(data.draw, y)
+        for raw, exact in ((QpPoint(raw_x, raw_y), QpPoint(x, y)), (QpPoint(raw_x), QpPoint(x))):
+            assert raw == exact
+            assert all(type(v) is Fr for v in raw.x + (raw.y or ()))
+        assert outcome(eval_f, QpPoint(raw_x, raw_y)) == outcome(eval_f, QpPoint(x, y))
+        assert outcome(eval_g, QpPoint(raw_x)) == outcome(eval_g, QpPoint(x))
 
     @given(st.data())
     @settings(max_examples=10, deadline=None)
