@@ -3,12 +3,9 @@ two-colored clique-avoidance extremal graph problems."""
 
 from .certify import (
     AuditConfig,
-    BipartitionSearchResult,
     Certificate,
     CheckRow,
-    IndependenceCapError,
     audit_partition,
-    bipartition_indep_search,
     check_colored_free,
     check_rt_witness,
     edge_formula_check,

@@ -8,7 +8,6 @@ quadratic in the witness size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -21,7 +20,6 @@ from .graphs import (
     _check_order,
     _complement_rows,
     _omega,
-    bit_indices,
     clique_number,
     independence_number,
     min_crossing_degree,
@@ -189,64 +187,6 @@ def pentagonlike_census() -> tuple[int, bool]:
 def mono_triangle_free_count(n: int) -> int:
     """Number of 2-colorings of E(K_n) with no monochromatic triangle."""
     return len(_triangle_free_colorings(_check_order(n))[1])
-
-
-def _ceil_sqrt_fraction(value: Fraction) -> int:
-    """Smallest integer b with b*b >= value; b*b >= value iff b*b >= ceil(value)."""
-    if value <= 0:
-        return 0
-    return math.isqrt(math.ceil(value) - 1) + 1
-
-
-class IndependenceCapError(ValueError):
-    """Precondition alpha(G) <= c*n failed; carries the oversized set."""
-
-    def __init__(self, alpha: int, cap: Fraction, witness: tuple[int, ...]):
-        super().__init__(
-            f"independence number {alpha} exceeds cap {cap}; witness {witness}"
-        )
-        self.witness = witness
-
-
-@dataclass
-class BipartitionSearchResult:
-    pair: tuple[tuple[int, ...], tuple[int, ...]]
-    evaluations: int
-    bound: int
-
-
-def bipartition_indep_search(cg: ColoredGraph, c) -> BipartitionSearchResult:
-    """Split V into V1 | V2 with alpha(G1[V1]) and alpha(G2[V2]) <= ceil(sqrt(c)*n).
-
-    Greedy peel, exact whenever alpha(G) <= c*n (checked first): start with
-    R = V and, while G1[R] has an independent set I with |I| > bound, move I
-    out of R; return V1 = R and V2 = the moved vertices.  The loop stops only
-    when alpha(G1[R]) <= bound.  Colour 1 has no edge inside a moved set I, so
-    a G2-independent subset of I is independent in G and alpha(G2[I]) <=
-    alpha(G) <= c*n.  At most n/(bound+1) sets are moved, so alpha(G2[V2]) <=
-    c*n*n/(bound+1) < bound, since bound*bound >= c*n*n.  A pair therefore
-    always exists and is found with at most n/(bound+1) + 1 exact decision
-    queries; ``evaluations`` counts them.
-    """
-    c = Fraction(c)
-    n = cg.n
-    alpha, witness = independence_number(cg.graph)
-    if Fraction(alpha) > c * n:
-        raise IndependenceCapError(alpha, c * n, witness)
-    bound = _ceil_sqrt_fraction(c * n * n)
-    co1 = _complement_rows(cg.color_class(1).adj)
-    full = (1 << n) - 1
-    rest = full
-    evaluations = 0
-    while True:
-        evaluations += 1
-        size, independent = _omega(co1, rest, bound + 1)
-        if size <= bound:
-            break
-        rest &= ~independent
-    return BipartitionSearchResult(
-        (tuple(bit_indices(rest)), tuple(bit_indices(full ^ rest))), evaluations, bound
-    )
 
 
 @dataclass(frozen=True)

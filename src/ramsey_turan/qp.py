@@ -14,22 +14,22 @@ non-empty faces, and on every face whose reduced Hessian is negative
 definite the unique stationary point is a candidate; these points and the
 vertices contain a maximum (see ``_face_candidates``), all found by
 fraction-free elimination on integers (Bareiss).  A float search
-cross-checks the exact value: pattern ascent from the 25 best points of the
-step-1/10 lattice, with no random starts.  Disagreement beyond 1e-6 raises
-instead of being papered over.  Both certificates are pure and memoized.
+cross-checks the exact value: one pattern ascent from each of the 25 best
+points of the step-1/10 lattice, kept as the lattice streams past.
+Disagreement beyond 1e-6 raises.  Both certificates are pure and memoized.
 
 Exact values take one integer pass: the coordinates become Fractions once
 (``_fractions``), the point is scaled to integer numerators over its least
 common denominator, the domain test and the objective (the homogeneous
 integer form of a triple ``_F``/``_G``, or ``eval_f`` written out) run on
-those integers, and one ``Fraction`` is built at the end.  ``_value``
-evaluates a triple on floats for the cross-check.  The feasibility test, the
-tight masks and the faces read one ``_constraints``.
+those integers, and one ``Fraction`` is built at the end.  The feasibility
+test, the tight masks and the faces read one ``_constraints``.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 import operator
@@ -48,7 +48,8 @@ class InfeasiblePointError(ValueError):
 
 
 class CertificationError(RuntimeError):
-    """The two maximization methods disagree beyond tolerance."""
+    """The exact and float maxima disagree beyond 1e-6, or the reduced
+    maximum of ``maximize_f`` differs from ``eval_f`` at its argmax."""
 
 
 @dataclass(frozen=True)
@@ -116,14 +117,6 @@ _F = (Fr(1), (Fr(9, 10),) * 5, -1)
 _G = (Fr(0), (Fr(0), Fr(0), Fr(1, 2), Fr(1, 2), Fr(1, 2)), 1)
 
 
-def _value(objective, x):
-    """The triple's value at the float point x, for the float cross-check."""
-    const, lin, sign = objective
-    s = const + sum(map(operator.mul, lin, x))
-    q = sum(x[a] * x[b] for a, b in _PAIRS)
-    return s + q if sign > 0 else s - q
-
-
 def _quad_matrix(sign: int) -> list[list[Fraction]]:
     q = [[Fr(0)] * 5 for _ in range(5)]
     for a, b in _PAIRS:
@@ -154,12 +147,6 @@ def _form_value(form, X, d) -> Fraction:
 
 _F_FORM, _G_FORM = (_integer_form(_quad_matrix(sign), lin, const)
                     for const, lin, sign in (_F, _G))
-
-
-def _float_objective(objective):
-    """The triple in floats, for ``_value`` in the float cross-check."""
-    const, lin, sign = objective
-    return float(const), tuple(map(float, lin)), sign
 
 
 def eval_f(pt: QpPoint) -> Fraction:
@@ -368,65 +355,67 @@ def _exact_max(quad, lin, const):
 # method (b): float lattice search + pattern ascent
 
 
-def _feasible_float(x, slack=1e-9) -> bool:
-    return all(v >= -slack for v in x) and all(
-        x[i] + x[(i + 1) % 5] <= 1 + slack for i in range(5)
-    )
-
-
-def _lattice() -> list[tuple[float, ...]]:
-    """Feasible points of the step-1/10 lattice in lexicographic order, each
-    pair sum tested exactly as ``_feasible_float(x, slack=0.0)`` tests it."""
+def _lattice():
+    """Feasible points of the step-1/10 lattice, yielded in lexicographic
+    order; each pair sum is tested <= 1 on floats."""
     levels = [k / 10 for k in range(11)]
-    return [
-        (a, b, c, d, e)
-        for a in levels
-        for b in levels if a + b <= 1
-        for c in levels if b + c <= 1
-        for d in levels if c + d <= 1
-        for e in levels if d + e <= 1 and e + a <= 1
-    ]
+    return ((a, b, c, d, e) for a in levels for b in levels if a + b <= 1
+            for c in levels if b + c <= 1 for d in levels if c + d <= 1
+            for e in levels if d + e <= 1 and e + a <= 1)
+
+
+def _float_objective(objective):
+    """The triple as a float function of a point, in order:
+    const + (0 + l0 x0 + ... + l4 x4) + sign * (0 + the ``_PAIRS`` products)."""
+    const, lin, sign = objective
+    const, (l0, l1, l2, l3, l4) = float(const), map(float, lin)
+
+    def value(x):
+        x0, x1, x2, x3, x4 = x
+        return (const + (0 + l0 * x0 + l1 * x1 + l2 * x2 + l3 * x3 + l4 * x4)
+                + sign * (0 + x0 * x2 + x0 * x3 + x1 * x3 + x1 * x4 + x2 * x4))
+    return value
 
 
 def _grid_ascent(objective) -> tuple[float, tuple[float, ...]]:
-    """Feasible-lattice scan refined by sign-pattern ascent at 1/100 scale.
+    """(value, point) of a lattice scan refined by sign-pattern ascent.
 
-    The 25 best points of the coordinate lattice (step 1/10) are the starts;
-    each is refined by trying all +-step sign patterns on the five
-    coordinates, with the step shrinking from 1/100 once no pattern improves.
+    The starts are the 25 best (value, point) pairs of ``_lattice()``, kept
+    by ``heapq.nlargest`` as it streams past.  From each, x + step * s is
+    tried for the nonzero s in {-1, 0, 1}^5 in ``itertools.product`` order;
+    the first point feasible within 1e-9 that gains over 1e-15 is taken.
+    When none is, the step halves, from 1/100 while above 1e-6.
     """
-    starts = [(objective(x), x) for x in _lattice()]
-    starts.sort(reverse=True)
+    value = _float_objective(objective)
+    starts = heapq.nlargest(25, ((value(x), x) for x in _lattice()))
     patterns = [s for s in itertools.product((-1, 0, 1), repeat=5) if any(s)]
     best_val, best_x = starts[0]
-    for _, start in starts[:25]:
-        x = list(start)
-        val = objective(x)
+    for val, x in starts:
         step = 1 / 100
         while step > 1e-6:
-            improved = False
-            for s in patterns:
-                cand = tuple(x[i] + step * s[i] for i in range(5))
-                if not _feasible_float(cand):
-                    continue
-                cv = objective(cand)
-                if cv > val + 1e-15:
-                    x, val = list(cand), cv
-                    improved = True
+            deltas = [tuple(step * v for v in s) for s in patterns]
+            while True:  # ascend until no pattern gains
+                for delta in deltas:
+                    c0, c1, c2, c3, c4 = cand = tuple(map(operator.add, x, delta))
+                    if (min(cand) >= -1e-9
+                            and max(c0 + c1, c1 + c2, c2 + c3, c3 + c4, c4 + c0) <= 1 + 1e-9
+                            and (cv := value(cand)) > val + 1e-15):
+                        x, val = cand, cv
+                        break
+                else:
                     break
-            if not improved:
-                step /= 2
+            step /= 2
         if val > best_val:
-            best_val, best_x = val, tuple(x)
+            best_val, best_x = val, x
     return best_val, best_x
 
 
 def _certify(objective, implied_bound, to_point):
-    """Exact maximum of the triple ``objective``, cross-checked by the float
-    ascent on the same triple; ``to_point`` maps the argmax to a QpPoint."""
+    """Exact maximum of the triple ``objective``, cross-checked by
+    ``_grid_ascent``; ``to_point`` maps the argmax to a QpPoint."""
     const, lin, sign = objective
     value, x, candidates = _exact_max(_quad_matrix(sign), lin, const)
-    grid_value, _ = _grid_ascent(functools.partial(_value, _float_objective(objective)))
+    grid_value, _ = _grid_ascent(objective)
     gap = abs(float(value) - grid_value)
     if gap > 1e-6:
         raise CertificationError(

@@ -3,6 +3,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 from fractions import Fraction as Fr
 
 import pytest
@@ -748,23 +749,127 @@ class TestGIdentity:
             assert poly_at(self.two_minus_g(), x) == 2 - eval_g(QpPoint(x))
 
 
+# Reference: the float cross-check that the streamed scan and one ascent
+# replaced.  ``ref_value`` summed with ``sum``, which adds floats left to
+# right before CPython 3.12; ``reduce`` keeps that order on every version.
+
+
+def ref_value(objective, x):
+    const, lin, sign = objective
+    s = const + functools.reduce(operator.add, map(operator.mul, lin, x), 0)
+    q = functools.reduce(operator.add, (x[a] * x[b] for a, b in qp._PAIRS), 0)
+    return s + q if sign > 0 else s - q
+
+
+def ref_float_objective(objective):
+    const, lin, sign = objective
+    return float(const), tuple(map(float, lin)), sign
+
+
+def ref_feasible_float(x, slack=1e-9) -> bool:
+    return all(v >= -slack for v in x) and all(
+        x[i] + x[(i + 1) % 5] <= 1 + slack for i in range(5)
+    )
+
+
+def ref_lattice() -> list[tuple[float, ...]]:
+    levels = [k / 10 for k in range(11)]
+    return [
+        (a, b, c, d, e)
+        for a in levels
+        for b in levels if a + b <= 1
+        for c in levels if b + c <= 1
+        for d in levels if c + d <= 1
+        for e in levels if d + e <= 1 and e + a <= 1
+    ]
+
+
+def ref_grid_ascent(objective) -> tuple[float, tuple[float, ...]]:
+    starts = [(objective(x), x) for x in ref_lattice()]
+    starts.sort(reverse=True)
+    patterns = [s for s in itertools.product((-1, 0, 1), repeat=5) if any(s)]
+    best_val, best_x = starts[0]
+    for _, start in starts[:25]:
+        x = list(start)
+        val = objective(x)
+        step = 1 / 100
+        while step > 1e-6:
+            improved = False
+            for s in patterns:
+                cand = tuple(x[i] + step * s[i] for i in range(5))
+                if not ref_feasible_float(cand):
+                    continue
+                cv = objective(cand)
+                if cv > val + 1e-15:
+                    x, val = list(cand), cv
+                    improved = True
+                    break
+            if not improved:
+                step /= 2
+        if val > best_val:
+            best_val, best_x = val, tuple(x)
+    return best_val, best_x
+
+
+def seeded_triple(seed):
+    """(constant, linear terms, sign): rationals in [-1, 1] and a random sign."""
+    rng = random.Random(seed)
+    const, *lin = (Fr(rng.randint(-q, q), q) for q in (rng.randint(1, 12) for _ in range(6)))
+    return const, tuple(lin), rng.choice((-1, 1))
+
+
+ASCENT_CASES = {"f": qp._F, "g": qp._G, "ties": (Fr(0), (Fr(0),) * 5, -1),
+                **{f"seed{k}": seeded_triple(k) for k in range(20)}}
+
+
 class TestLattice:
     @pytest.mark.parametrize("objective, form", [(qp._F, qp._F_FORM), (qp._G, qp._G_FORM)],
                              ids=["f", "g"])
     def test_float_objective_matches_exact_value(self, objective, form):
-        floats = qp._float_objective(objective)
-        for x in qp._lattice():
+        value = qp._float_objective(objective)
+        for x in list(qp._lattice()):
             exact = qp._form_value(form, *qp._numerators([Fr(round(10 * v), 10) for v in x]))
-            assert abs(qp._value(floats, x) - exact) <= 1e-12
+            assert abs(value(x) - exact) <= 1e-12
 
     def test_nested_loops_match_filtered_product(self):
         levels = [k / 10 for k in range(11)]
         filtered = [
             x for x in itertools.product(levels, repeat=5)
-            if qp._feasible_float(x, slack=0.0)
+            if ref_feasible_float(x, slack=0.0)
         ]
         assert len(filtered) == 21031
-        assert qp._lattice() == filtered
+        assert list(qp._lattice()) == filtered
+
+
+class TestGridAscentMatchesReference:
+    def test_evaluator_is_bit_identical(self):
+        for objective in ASCENT_CASES.values():
+            value, floats = qp._float_objective(objective), ref_float_objective(objective)
+            for x in itertools.islice(qp._lattice(), 0, None, 7):
+                assert repr(value(x)) == repr(ref_value(floats, x))
+
+    @pytest.mark.parametrize("name", list(ASCENT_CASES))
+    def test_value_and_argmax(self, name):
+        objective = ASCENT_CASES[name]
+        got = qp._grid_ascent(objective)
+        want = ref_grid_ascent(functools.partial(ref_value, ref_float_objective(objective)))
+        assert got == want
+        assert repr(got) == repr(want)
+
+
+class TestCrossCheckMemory:
+    @pytest.mark.parametrize("maximize", [maximize_f, maximize_g], ids=["f", "g"])
+    def test_cold_peak_under_one_mib(self, maximize):
+        # the body under the cache runs cold without evicting the cached
+        # certificate that other tests compare by identity
+        qp._faces.cache_clear()
+        tracemalloc.start()
+        try:
+            maximize.__wrapped__()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSymmetry:
